@@ -46,15 +46,15 @@ std::vector<weight_t> sssp_sync(const WCSRGraph& graph, vid_t source,
 std::vector<weight_t> sssp_async(const WCSRGraph& graph, vid_t source,
                                  weight_t delta);
 
-/** Afforest connected components. */
+/** Afforest connected components (the shared graph::afforest). */
 std::vector<vid_t> cc_afforest(const CSRGraph& graph);
 
 /** Afforest with edge blocking (better load balance; the paper's choice
  *  for Web in the Optimized data set). */
 std::vector<vid_t> cc_afforest_edge_blocked(const CSRGraph& graph);
 
-/** Gauss–Seidel (in-place) PageRank; converges in fewer rounds than the
- *  GAP reference's Jacobi iteration. */
+/** Blocked Gauss–Seidel PageRank (the shared graph::pagerank_gauss_seidel);
+ *  converges in fewer rounds than the GAP reference's Jacobi iteration. */
 std::vector<score_t> pagerank_gauss_seidel(const CSRGraph& graph,
                                            double damping = 0.85,
                                            double tolerance = 1e-4,

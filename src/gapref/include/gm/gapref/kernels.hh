@@ -52,26 +52,11 @@ std::vector<score_t> pagerank(const CSRGraph& graph, double damping = 0.85,
                               double tolerance = 1e-4, int max_iters = 20);
 
 /**
- * Gauss–Seidel PageRank: the replacement the paper recommends for the GAP
- * reference ("switching to a Gauss-Seidel approach for PR is far more
- * practical, and the results of this study demonstrate the performance
- * advantages of that approach").  Kept alongside the Jacobi reference so
- * the ablation benches can quantify that recommendation.
- */
-std::vector<score_t> pagerank_gauss_seidel(const CSRGraph& graph,
-                                           double damping = 0.85,
-                                           double tolerance = 1e-4,
-                                           int max_iters = 100);
-
-/**
  * Afforest connected components (Sutton et al.): subgraph sampling +
  * skipping the largest intermediate component.  Computes weakly connected
- * components on directed graphs.
- *
- * @param neighbor_rounds Sampling rounds over the first neighbors.
+ * components on directed graphs.  Forwards to the shared graph::afforest.
  */
-std::vector<vid_t> cc_afforest(const CSRGraph& graph,
-                               int neighbor_rounds = 2);
+std::vector<vid_t> cc_afforest(const CSRGraph& graph);
 
 /**
  * Approximate betweenness centrality (Brandes), @p num_sources roots.

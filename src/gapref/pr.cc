@@ -1,10 +1,8 @@
 #include "gm/gapref/kernels.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "gm/obs/trace.hh"
-#include "gm/par/atomics.hh"
 #include "gm/par/parallel_for.hh"
 
 namespace gm::gapref
@@ -37,68 +35,6 @@ pagerank(const CSRGraph& g, double damping, double tolerance, int max_iters)
             },
             [](double a, double b) { return a + b; });
 
-        obs::counter_add("iterations", 1);
-        obs::counter_add("edges_traversed",
-                         static_cast<std::uint64_t>(
-                             g.num_edges_directed()));
-        if (error < tolerance)
-            break;
-    }
-    return scores;
-}
-
-std::vector<score_t>
-pagerank_gauss_seidel(const CSRGraph& g, double damping, double tolerance,
-                      int max_iters)
-{
-    // Blocked Gauss-Seidel: vertices are partitioned on a fixed chunk grid
-    // (a function of n only), chunks sweep in ascending order, and contrib
-    // updates are staged per chunk and committed at the chunk boundary.
-    // Reads therefore see fresh values from earlier chunks (Gauss-Seidel
-    // across chunks) and iteration-start values within a chunk (Jacobi
-    // inside), a schedule that is a pure function of the graph — the racy
-    // in-place variant converged a little faster per sweep but its result
-    // depended on lane interleaving, which broke result caching.
-    const vid_t n = g.num_vertices();
-    const score_t base_score = (score_t{1} - damping) / n;
-    std::vector<score_t> scores(static_cast<std::size_t>(n),
-                                score_t{1} / n);
-    std::vector<score_t> contrib(static_cast<std::size_t>(n));
-    std::vector<score_t> inv_degree(static_cast<std::size_t>(n));
-    par::parallel_for<vid_t>(0, n, [&](vid_t v) {
-        const eid_t d = g.out_degree(v);
-        inv_degree[v] = d > 0 ? score_t{1} / d : 0;
-        contrib[v] = scores[v] * inv_degree[v];
-    }, par::Schedule::kStatic);
-
-    constexpr vid_t kChunks = 64;
-    const vid_t chunk = (n + kChunks - 1) / kChunks < 1
-                            ? 1
-                            : (n + kChunks - 1) / kChunks;
-    std::vector<score_t> staged(static_cast<std::size_t>(chunk));
-
-    for (int iter = 0; iter < max_iters; ++iter) {
-        double error = 0.0;
-        for (vid_t lo = 0; lo < n; lo += chunk) {
-            const vid_t hi = std::min<vid_t>(lo + chunk, n);
-            error += par::parallel_reduce<vid_t, double>(
-                lo, hi, 0.0,
-                [&](vid_t v) {
-                    score_t incoming_total = 0;
-                    for (vid_t u : g.in_neigh(v))
-                        incoming_total += contrib[u];
-                    const score_t next =
-                        base_score + damping * incoming_total;
-                    const score_t old = scores[v];
-                    scores[v] = next;
-                    staged[v - lo] = next * inv_degree[v];
-                    return std::fabs(next - old);
-                },
-                [](double a, double b) { return a + b; });
-            par::parallel_for<vid_t>(lo, hi, [&](vid_t v) {
-                contrib[v] = staged[v - lo];
-            }, par::Schedule::kStatic);
-        }
         obs::counter_add("iterations", 1);
         obs::counter_add("edges_traversed",
                          static_cast<std::uint64_t>(

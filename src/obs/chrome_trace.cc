@@ -60,12 +60,15 @@ ChromeTraceWriter::json() const
     for (const SpanRecord& span : spans_)
         tids.insert(span.tid);
     for (int tid : tids) {
-        const std::string name =
-            tid == kSessionTid ? "sessions" : "t" + std::to_string(tid);
+        // Thread names are "sessions" or "t<tid>": nothing to escape.
         out << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
                "\"tid\":"
-            << tid << ",\"args\":{\"name\":\""
-            << support::json_escape(name) << "\"}}";
+            << tid << ",\"args\":{\"name\":\"";
+        if (tid == kSessionTid)
+            out << "sessions";
+        else
+            out << "t" << tid;
+        out << "\"}}";
     }
 
     for (const SpanRecord& span : spans_) {

@@ -524,6 +524,10 @@ class Server
     /** Breaker bookkeeping for a leader outcome (or non-execution). */
     void record_cell_outcome(const detail::RequestState& state,
                              const support::Status& status, bool executed);
+    /** Append one JSONL record line to @p path under metrics_mu_.  The
+     *  file is opened and closed per record, never buffered, so a crash
+     *  loses no record already written. */
+    void append_jsonl(const std::string& path, const std::string& line);
     void write_metrics_record(const detail::RequestState& state,
                               const obs::TraceSession& session);
     /** Append drained breaker transitions to the metrics stream. */

@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -562,10 +561,7 @@ Server::write_plan_record(detail::PlanState& state)
              << ",\"generation\":" << r.generation
              << ",\"t_ns\":" << Timer::now_ns() << "}";
     }
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    std::ofstream out(options_.metrics_path, std::ios::app);
-    if (out)
-        out << line.str() << "\n";
+    append_jsonl(options_.metrics_path, line.str());
 }
 
 void

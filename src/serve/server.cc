@@ -1068,10 +1068,14 @@ Server::write_metrics_record(const RequestState& state,
     record.trace_id = state.req.trace_id;
     record.metrics = obs::summarize(session);
     record.metrics.peak_bytes = state.ds->bytes_resident();
-    const std::string line = obs::metrics_record_line(record);
+    append_jsonl(options_.metrics_path, obs::metrics_record_line(record));
+}
 
+void
+Server::append_jsonl(const std::string& path, const std::string& line)
+{
     std::lock_guard<std::mutex> lock(metrics_mu_);
-    std::ofstream out(options_.metrics_path, std::ios::app);
+    std::ofstream out(path, std::ios::app);
     if (out)
         out << line << "\n";
 }
@@ -1084,16 +1088,14 @@ Server::flush_breaker_transitions()
         breaker_.drain_transitions();
     if (transitions.empty() || options_.metrics_path.empty())
         return;
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    std::ofstream out(options_.metrics_path, std::ios::app);
-    if (!out)
-        return;
     for (const CircuitBreaker::Transition& t : transitions) {
-        out << "{\"kind\":\"serve.breaker\",\"cell\":\""
-            << support::json_escape(t.cell) << "\",\"from\":\""
-            << CircuitBreaker::to_string(t.from) << "\",\"to\":\""
-            << CircuitBreaker::to_string(t.to) << "\",\"seq\":" << t.seq
-            << "}\n";
+        std::ostringstream line;
+        line << "{\"kind\":\"serve.breaker\",\"cell\":\""
+             << support::json_escape(t.cell) << "\",\"from\":\""
+             << CircuitBreaker::to_string(t.from) << "\",\"to\":\""
+             << CircuitBreaker::to_string(t.to) << "\",\"seq\":" << t.seq
+             << "}";
+        append_jsonl(options_.metrics_path, line.str());
     }
 }
 
@@ -1196,10 +1198,7 @@ Server::write_refusal_record(const RequestState& state,
          << support::json_escape(state.cell_key)
          << "\",\"degraded\":" << (served_degraded ? 1 : 0)
          << ",\"t_ns\":" << Timer::now_ns() << "}";
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    std::ofstream out(options_.metrics_path, std::ios::app);
-    if (out)
-        out << line.str() << "\n";
+    append_jsonl(options_.metrics_path, line.str());
 }
 
 void
@@ -1227,10 +1226,7 @@ Server::write_mutation_record(const std::string& graph,
          << ",\"generation\":" << outcome.generation << ",\"mutate_ms\":"
          << support::json_double(outcome.mutate_seconds * 1e3)
          << ",\"t_ns\":" << Timer::now_ns() << "}";
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    std::ofstream out(options_.metrics_path, std::ios::app);
-    if (out)
-        out << line.str() << "\n";
+    append_jsonl(options_.metrics_path, line.str());
 }
 
 void
@@ -1298,10 +1294,7 @@ Server::write_slo_burn_record(const telemetry::SloEvaluation& ev)
          << ",\"p99_short_ns\":" << ev.p99_short_ns
          << ",\"short_total\":" << ev.short_total
          << ",\"long_total\":" << ev.long_total << "}";
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    std::ofstream out(path, std::ios::app);
-    if (out)
-        out << line.str() << "\n";
+    append_jsonl(path, line.str());
 }
 
 void
@@ -1345,10 +1338,7 @@ Server::write_telemetry_snapshot()
         first = false;
     }
     line << "}}";
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    std::ofstream out(options_.telemetry_path, std::ios::app);
-    if (out)
-        out << line.str() << "\n";
+    append_jsonl(options_.telemetry_path, line.str());
 }
 
 void

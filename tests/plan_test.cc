@@ -87,6 +87,15 @@ mutable_suite(std::uint64_t seed = 11)
     return s;
 }
 
+/** Default server options with @p workers worker threads. */
+ServerOptions
+with_workers(int workers)
+{
+    ServerOptions options;
+    options.workers = workers;
+    return options;
+}
+
 /** RAII GM_FAULTS spec: armed for the test, disarmed on exit. */
 struct ScopedFaults
 {
@@ -306,8 +315,9 @@ TEST(PlanServeTest, RandomPlansBitIdenticalAcrossWidths)
         const std::vector<plan::Value> ref = reference(p, "Kron");
         ASSERT_EQ(static_cast<int>(ref.size()), p.size());
         for (const int width : {1, 2, 5, 8}) {
-            Server server(suite(), frameworks(),
-                          ServerOptions{.workers = 2, .lane_budget = 8});
+            ServerOptions options = with_workers(2);
+            options.lane_budget = 8;
+            Server server(suite(), frameworks(), options);
             PlanRequest req;
             req.graph = "Kron";
             req.plan = p;
@@ -340,7 +350,7 @@ TEST(PlanServeTest, SharedSubPlanWithinOnePlanExecutesOnce)
     p.add_histogram(batch, 8);
     p.add_top_k(batch, 4);
 
-    Server server(suite(), frameworks(), ServerOptions{.workers = 2});
+    Server server(suite(), frameworks(), with_workers(2));
     PlanRequest req;
     req.graph = "Kron";
     req.plan = p;
@@ -369,7 +379,7 @@ TEST(PlanServeTest, ConcurrentPlansSingleFlightSharedSubPlans)
     p.add_histogram(batch, 16);
     p.add_top_k(batch, 8);
 
-    Server server(suite(), frameworks(), ServerOptions{.workers = 2});
+    Server server(suite(), frameworks(), with_workers(2));
     PlanRequest req;
     req.graph = "Kron";
     req.plan = p;
@@ -400,8 +410,7 @@ TEST(PlanServeTest, ConcurrentPlansSingleFlightSharedSubPlans)
 
 TEST(PlanServeTest, MutateInvalidatesPlanCache)
 {
-    Server server(mutable_suite(), frameworks(),
-                  ServerOptions{.workers = 2});
+    Server server(mutable_suite(), frameworks(), with_workers(2));
     plan::Plan p;
     const int cc = p.add_kernel(Kernel::kCC);
     p.add_histogram(cc, 8);
@@ -436,7 +445,7 @@ TEST(PlanServeTest, MutateInvalidatesPlanCache)
 
 TEST(PlanServeTest, SubmitRejectsBadPlans)
 {
-    Server server(suite(), frameworks(), ServerOptions{.workers = 1});
+    Server server(suite(), frameworks(), with_workers(1));
     PlanRequest req;
     req.graph = "Kron";
     EXPECT_EQ(server.submit_plan(req).status().code(),
@@ -458,7 +467,7 @@ TEST(PlanServeTest, NodeDeadlineFailsThePlan)
     // A delay fault stretches the node past its deadline; the deadline
     // timer raises the node's token and the plan reports the expiry.
     ScopedFaults faults("serve.plan.node:1:3:delay=80");
-    Server server(suite(), frameworks(), ServerOptions{.workers = 1});
+    Server server(suite(), frameworks(), with_workers(1));
     plan::Plan p;
     p.add_kernel(Kernel::kBFS, 0);
     PlanRequest req;
@@ -474,7 +483,7 @@ TEST(PlanServeTest, NodeDeadlineFailsThePlan)
 TEST(PlanServeTest, CancelStopsThePlan)
 {
     ScopedFaults faults("serve.plan.node:1:3:delay=80");
-    Server server(suite(), frameworks(), ServerOptions{.workers = 1});
+    Server server(suite(), frameworks(), with_workers(1));
     plan::Plan p;
     const int bfs = p.add_kernel(Kernel::kBFS, 2);
     p.add_histogram(bfs, 8);
@@ -493,7 +502,7 @@ TEST(PlanServeTest, CancelStopsThePlan)
 TEST(PlanServeTest, InjectedFaultFailsTheNodeDeterministically)
 {
     ScopedFaults faults("serve.plan.node:1x:3");
-    Server server(suite(), frameworks(), ServerOptions{.workers = 1});
+    Server server(suite(), frameworks(), with_workers(1));
     plan::Plan p;
     p.add_kernel(Kernel::kCC);
     PlanRequest req;

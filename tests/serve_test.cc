@@ -684,7 +684,9 @@ TEST(ResultCacheTest, GenerationMismatchBehavesLikeExpiry)
 
 TEST(ServeDynTest, MutateInvalidatesCacheAndBumpsGeneration)
 {
-    Server server(mutable_suite(), frameworks(), ServerOptions{.workers = 2});
+    ServerOptions options;
+    options.workers = 2;
+    Server server(mutable_suite(), frameworks(), options);
 
     Request req;
     req.framework = "GAP";
@@ -736,7 +738,9 @@ TEST(ServeDynTest, MutateInvalidatesCacheAndBumpsGeneration)
 
 TEST(ServeDynTest, MutateRejectsBadInputWhole)
 {
-    Server server(mutable_suite(), frameworks(), ServerOptions{.workers = 1});
+    ServerOptions options;
+    options.workers = 1;
+    Server server(mutable_suite(), frameworks(), options);
 
     dyn::MutationBatch bad;
     bad.insert(0, 1);

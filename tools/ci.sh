@@ -1,5 +1,7 @@
 #!/usr/bin/env sh
-# CI entry point: tier-1 verification, an AddressSanitizer pass over
+# CI entry point: a check that every baseline perf/baselines/README.md
+# names is tracked in git, tier-1 verification with warnings as errors
+# (the build must stay warnings-clean), an AddressSanitizer pass over
 # the graph-store and GraphBLAS tests (the code most exposed to the
 # zero-copy view lifetimes introduced by the GraphStore refactor), a
 # ThreadSanitizer pass over the tracing, thread-pool, and serve tests
@@ -46,8 +48,19 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
-echo "== tier 1: configure + build + full test suite =="
-cmake -B "$BUILD_DIR" -S .
+echo "== tier 0: every baseline perf/baselines/README.md names is in git =="
+for baseline in $(grep -o '`[A-Za-z0-9_.-]*\.jsonl`' perf/baselines/README.md \
+    | tr -d '`' | sort -u); do
+    if ! git ls-files --error-unmatch "perf/baselines/$baseline" \
+        > /dev/null 2>&1; then
+        echo "perf/baselines/README.md names $baseline," \
+            "which git does not track" >&2
+        exit 1
+    fi
+done
+
+echo "== tier 1: configure (warnings are errors) + build + full test suite =="
+cmake -B "$BUILD_DIR" -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
@@ -187,8 +200,7 @@ grep -q "failed=0" "$SERVE_DIR/open.log"
 # Lane-leased execution must never cost width-1-equivalent traffic:
 # records fresh width-1 vs width-8 baselines over the same seeded heavy
 # workload and perf_gates them (and, on >=4-core hosts, requires a
-# significant large-query improvement).  The committed reference pair
-# lives in perf/baselines/.
+# significant large-query improvement).
 BUILD_DIR="$BUILD_DIR" tools/serve_perf_check.sh
 
 echo "== tier 8: chaos smoke (pinned fault storm, availability SLO) =="

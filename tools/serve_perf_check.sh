@@ -23,10 +23,8 @@
 # the improvement assertion is skipped and reported as such; see
 # DESIGN.md section 13.
 #
-# The committed reference pair under perf/baselines/ was produced by
-# exactly this procedure.  Baselines do not transfer across machines —
-# both sides are always recorded fresh here, on the same host, and the
-# committed files serve as the reviewed record of the comparison.
+# Baselines do not transfer across machines, so there is no committed
+# pair: both sides are always recorded fresh here, on the same host.
 #
 #   tools/serve_perf_check.sh            # from the repo root
 #   BUILD_DIR=ci tools/serve_perf_check.sh
