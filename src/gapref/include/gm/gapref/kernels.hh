@@ -33,7 +33,8 @@ std::vector<vid_t> bfs(const CSRGraph& graph, vid_t source, int alpha = 15,
                        int beta = 18);
 
 /**
- * Delta-stepping SSSP with bucket fusion.
+ * Delta-stepping SSSP with bucket fusion.  Forwards to the shared
+ * graph::delta_stepping with BucketDrain::kFused.
  *
  * @param delta Bucket width; GAP allows tuning this per graph.
  * @return Distance array; kInfWeight when unreachable.
@@ -67,13 +68,11 @@ std::vector<score_t> bc(const CSRGraph& graph,
 
 /**
  * Order-invariant triangle counting; relabels by degree first when the
- * sampling heuristic says the graph is skewed enough to repay it.
- * The input must be undirected.
+ * sampling heuristic (graph::worth_relabeling_by_degree) says the graph
+ * is skewed enough to repay it.  The input must be undirected.  Forwards
+ * to the shared graph::triangle_count.
  */
 std::uint64_t tc(const CSRGraph& graph);
-
-/** The relabel heuristic used by tc(); exposed for tests/ablations. */
-bool tc_worth_relabeling(const CSRGraph& graph, std::uint64_t seed = 10);
 
 /** Triangle counting without the relabel heuristic (ablation hook). */
 std::uint64_t tc_no_relabel(const CSRGraph& graph);

@@ -26,7 +26,8 @@ using graph::WCSRGraph;
 /** Direction-optimizing BFS with local flush buffers. */
 std::vector<vid_t> bfs(const CSRGraph& graph, vid_t source);
 
-/** Delta-stepping SSSP (round-synchronous; no bucket fusion). */
+/** Delta-stepping SSSP (round-synchronous; no bucket fusion): the shared
+ *  graph::delta_stepping with BucketDrain::kNone. */
 std::vector<weight_t> sssp(const WCSRGraph& graph, vid_t source,
                            weight_t delta);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 
 #include "gm/gkc/local_buffer.hh"
 #include "gm/graph/builder.hh"
@@ -10,7 +9,6 @@
 #include "gm/graph/stats.hh"
 #include "gm/obs/trace.hh"
 #include "gm/par/atomics.hh"
-#include "gm/par/barrier.hh"
 #include "gm/par/parallel_for.hh"
 #include "gm/support/bitmap.hh"
 
@@ -166,106 +164,7 @@ bfs(const CSRGraph& g, vid_t source)
 std::vector<weight_t>
 sssp(const WCSRGraph& g, vid_t source, weight_t delta)
 {
-    const vid_t n = g.num_vertices();
-    std::vector<weight_t> dist(static_cast<std::size_t>(n), kInfWeight);
-    dist[source] = 0;
-
-    constexpr std::size_t kMaxBin =
-        std::numeric_limits<std::size_t>::max() / 2;
-    std::vector<vid_t> frontier(
-        static_cast<std::size_t>(g.num_edges_directed()) + 1);
-    frontier[0] = source;
-    std::size_t shared_indexes[2] = {0, kMaxBin};
-    std::size_t frontier_tails[2] = {1, 0};
-    // Lease first so the barrier parties match the lanes parallel_lanes
-    // (adopting this lease) actually runs; the short bucket rounds favor
-    // the spinning barrier.
-    par::LaneLease lease(par::num_threads());
-    par::SpinBarrier barrier(lease.width());
-
-    par::parallel_lanes([&](int lane, int lanes) {
-        std::vector<std::vector<vid_t>> local_bins;
-        std::size_t iter = 0;
-        std::uint64_t edges_scanned = 0;
-        std::uint64_t relaxations = 0;
-
-        auto relax = [&](vid_t u) {
-            for (const graph::WNode& wn : g.out_neigh(u)) {
-                ++edges_scanned;
-                weight_t old_dist = par::atomic_load(dist[wn.v]);
-                const weight_t new_dist = dist[u] + wn.w;
-                while (new_dist < old_dist) {
-                    if (par::compare_and_swap(dist[wn.v], old_dist,
-                                              new_dist)) {
-                        ++relaxations;
-                        const std::size_t b =
-                            static_cast<std::size_t>(new_dist / delta);
-                        if (b >= local_bins.size())
-                            local_bins.resize(b + 1);
-                        local_bins[b].push_back(wn.v);
-                        break;
-                    }
-                    old_dist = par::atomic_load(dist[wn.v]);
-                }
-            }
-        };
-
-        while (shared_indexes[iter & 1] != kMaxBin) {
-            const std::size_t curr_bin = shared_indexes[iter & 1];
-            const std::size_t curr_tail = frontier_tails[iter & 1];
-            std::size_t& next_tail = frontier_tails[(iter + 1) & 1];
-
-            for (std::size_t i = static_cast<std::size_t>(lane);
-                 i < curr_tail; i += static_cast<std::size_t>(lanes)) {
-                const vid_t u = frontier[i];
-                if (dist[u] >= static_cast<weight_t>(
-                                   delta * static_cast<weight_t>(curr_bin)))
-                    relax(u);
-            }
-
-            for (std::size_t b = curr_bin; b < local_bins.size(); ++b) {
-                if (!local_bins[b].empty()) {
-                    std::atomic_ref<std::size_t> ref(
-                        shared_indexes[(iter + 1) & 1]);
-                    std::size_t seen = ref.load(std::memory_order_relaxed);
-                    while (b < seen && !ref.compare_exchange_weak(
-                                           seen, b,
-                                           std::memory_order_relaxed)) {
-                    }
-                    break;
-                }
-            }
-            barrier.wait();
-
-            const std::size_t next_bin = shared_indexes[(iter + 1) & 1];
-            if (next_bin < local_bins.size() &&
-                !local_bins[next_bin].empty()) {
-                const std::size_t offset = par::fetch_add<std::size_t>(
-                    next_tail, local_bins[next_bin].size());
-                std::copy(local_bins[next_bin].begin(),
-                          local_bins[next_bin].end(),
-                          frontier.begin() +
-                              static_cast<std::ptrdiff_t>(offset));
-                local_bins[next_bin].clear();
-            }
-            barrier.wait();
-            if (lane == 0) {
-                shared_indexes[iter & 1] = kMaxBin;
-                frontier_tails[iter & 1] = 0;
-            }
-            barrier.wait();
-            ++iter;
-        }
-        obs::counter_add("edges_traversed", edges_scanned);
-        obs::counter_add("sssp.relaxations", relaxations);
-        if (lane == 0) {
-            obs::counter_add("iterations",
-                             static_cast<std::uint64_t>(iter));
-            obs::counter_add("sssp.buckets",
-                             static_cast<std::uint64_t>(iter));
-        }
-    });
-    return dist;
+    return graph::delta_stepping(g, source, delta, graph::BucketDrain::kNone);
 }
 
 // ----------------------------------------------------------------- CC ----

@@ -321,7 +321,8 @@ brandes_bc(const G& g, const std::vector<vid_t>& sources)
 /**
  * Triangle counting with a cyclic row distribution (the NWGraph trick the
  * paper credits for "near optimal load balancing" on skewed graphs) and a
- * relabel decided on the edge list before compression.
+ * relabel decided on the edge list before compression.  Each row runs
+ * the shared graph::ordered_triangles merge.
  */
 inline std::uint64_t
 triangle_count(const adjacency& g)
@@ -340,20 +341,7 @@ triangle_count(const adjacency& g)
         // Cyclic row distribution: lane t takes rows t, t+N, t+2N, ...
         for (vid_t u = static_cast<vid_t>(lane); u < h.num_vertices();
              u += static_cast<vid_t>(lanes)) {
-            const auto u_neigh = h.out_neigh(u);
-            for (vid_t v : u_neigh) {
-                if (v > u)
-                    break;
-                auto it = u_neigh.begin();
-                for (vid_t w : h.out_neigh(v)) {
-                    if (w > v)
-                        break;
-                    while (*it < w)
-                        ++it;
-                    if (w == *it)
-                        ++local;
-                }
-            }
+            local += graph::ordered_triangles(h, u);
         }
         lane_counts[static_cast<std::size_t>(lane)] = local;
     });

@@ -74,12 +74,12 @@ cmake --build "$ASAN_DIR" -j "$JOBS" \
 "$ASAN_DIR/tests/grb_ops_edge_test"
 "$ASAN_DIR/tests/converter_test"
 
-echo "== tier 3: ThreadSanitizer build of the obs/par/serve tests =="
+echo "== tier 3: ThreadSanitizer build of the obs/par/serve/plan tests and the shared kernels =="
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DGM_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
     --target obs_test par_test par_stress_test serve_test \
-    serve_resilience_test telemetry_test plan_test
+    serve_resilience_test telemetry_test plan_test shared_kernels_test
 "$TSAN_DIR/tests/obs_test"
 "$TSAN_DIR/tests/par_test"
 "$TSAN_DIR/tests/par_stress_test"
@@ -87,6 +87,7 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 "$TSAN_DIR/tests/serve_resilience_test"
 "$TSAN_DIR/tests/telemetry_test"
 "$TSAN_DIR/tests/plan_test"
+"$TSAN_DIR/tests/shared_kernels_test"
 
 echo "== tier 4: profile pipeline smoke (suite --trace-out + validation) =="
 SMOKE_DIR="$BUILD_DIR/ci-profile-smoke"
