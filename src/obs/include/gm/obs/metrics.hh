@@ -85,6 +85,10 @@ struct MetricsRecord
     TrialMetrics metrics;
 };
 
+/** A trace id as the 16-digit lowercase hex every JSONL record carries
+ *  in its "trace" field. */
+std::string trace_hex(std::uint64_t trace_id);
+
 /** Serialize @p record as a single JSON line (no trailing newline). */
 std::string metrics_record_line(const MetricsRecord& record);
 

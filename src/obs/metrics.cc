@@ -165,6 +165,15 @@ parse_metrics_json(const std::string& text)
 }
 
 std::string
+trace_hex(std::uint64_t trace_id)
+{
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(trace_id));
+    return std::string(hex);
+}
+
+std::string
 metrics_record_line(const MetricsRecord& record)
 {
     std::ostringstream out;
@@ -175,12 +184,8 @@ metrics_record_line(const MetricsRecord& record)
         << ",\"graph\":\"" << support::json_escape(record.graph) << "\""
         << ",\"trial\":" << record.trial
         << ",\"attempt\":" << record.attempt;
-    if (record.trace_id != 0) {
-        char hex[17];
-        std::snprintf(hex, sizeof hex, "%016llx",
-                      static_cast<unsigned long long>(record.trace_id));
-        out << ",\"trace\":\"" << hex << "\"";
-    }
+    if (record.trace_id != 0)
+        out << ",\"trace\":\"" << trace_hex(record.trace_id) << "\"";
     out << ",\"metrics\":" << metrics_json(record.metrics) << "}";
     return out.str();
 }

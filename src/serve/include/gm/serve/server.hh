@@ -73,6 +73,8 @@ struct DynState;
 struct LaneGate;
 struct PlanState;
 struct RequestState;
+struct ServeCall;
+struct Served;
 struct ServeTelemetry;
 } // namespace detail
 
@@ -498,12 +500,20 @@ class Server
 
     void worker_loop();
     void process(const std::shared_ptr<detail::RequestState>& state);
-    /** Block until @p width lanes fit in the budget and charge them;
-     *  false (nothing charged) if the request is cancelled or its
-     *  deadline passes while waiting.  Event-driven: woken by
-     *  release_lanes(), Handle::cancel(), and shutdown(), with the
-     *  request deadline as the only timed bound. */
-    bool acquire_lanes(const detail::RequestState& state, int width);
+    /**
+     * The one serve path for requests and plan nodes: look up or join
+     * the cache entry for call.key; a follower waits on its leader; a
+     * leader charges call.width lanes, pins the store generation,
+     * executes under a LaneLease and publishes on every exit, so its
+     * followers always wake.
+     */
+    detail::Served serve_keyed(const detail::ServeCall& call);
+    /** Block until call.width lanes fit in the budget and charge them;
+     *  false (nothing charged) once call's stop condition fires.
+     *  Event-driven: woken by release_lanes(), Handle::cancel(),
+     *  PlanHandle::cancel() and shutdown(), with the call's deadline as
+     *  the only timed bound. */
+    bool acquire_lanes(const detail::ServeCall& call);
     void release_lanes(int width);
     /** Quiesce kernel execution: block until no leader holds lanes, then
      *  charge the entire budget (mutations run exclusively). */
@@ -511,9 +521,12 @@ class Server
     /** {"kind":"serve.mutation"} JSONL record for one applied batch. */
     void write_mutation_record(const std::string& graph,
                                const MutationOutcome& outcome);
-    support::Status wait_for_leader(detail::RequestState& state,
-                                    ResultCache::Inflight& flight,
-                                    QueryResult& result);
+    /** Follower side of serve_keyed: wait for @p flight or for call's
+     *  stop condition; an abandoned leader maps to retryable
+     *  kCancelled. */
+    void wait_for_leader(const detail::ServeCall& call,
+                         ResultCache::Inflight& flight,
+                         detail::Served& out);
     support::Status classify_cancel(const detail::RequestState& state) const;
     void complete(const std::shared_ptr<detail::RequestState>& state,
                   support::Status status, QueryResult result);
@@ -529,7 +542,8 @@ class Server
      *  loses no record already written. */
     void append_jsonl(const std::string& path, const std::string& line);
     void write_metrics_record(const detail::RequestState& state,
-                              const obs::TraceSession& session);
+                              const obs::TraceSession& session,
+                              const QueryResult& result);
     /** Append drained breaker transitions to the metrics stream. */
     void flush_breaker_transitions();
     /** Fresh nonzero request-scoped trace id (SplitMix64 over a
@@ -555,14 +569,9 @@ class Server
     /** Driver body (one thread per submitted plan): runs each wave of
      *  ready nodes concurrently, then settles the PlanResult. */
     void plan_driver(const std::shared_ptr<detail::PlanState>& state);
-    /** Serve one plan node — cache hit, single-flight join, or leader
-     *  execution under the lane budget; fills state.node_results[id]. */
+    /** Serve one plan node through serve_keyed; fills
+     *  state.node_results[id]. */
     void plan_run_node(detail::PlanState& state, int id);
-    /** acquire_lanes for a plan node: bounded by the node's deadline and
-     *  woken by release_lanes / PlanHandle::cancel / shutdown. */
-    bool plan_acquire_lanes(const detail::PlanState& state,
-                            const support::CancelToken& node_token,
-                            std::int64_t deadline_ns, int width);
     /** {"kind":"serve.plan"} JSONL record for one finished plan. */
     void write_plan_record(detail::PlanState& state);
     /** Join driver threads whose plans have settled (all of them when

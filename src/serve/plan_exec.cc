@@ -4,8 +4,8 @@
  *
  * Each accepted plan gets a driver thread that walks the plan's
  * topological waves; nodes within a wave run concurrently, one thread
- * each.  Every node is served through the same ResultCache the query
- * path uses, keyed by (structural sub-plan fingerprint, graph
+ * each.  Every node is served through Server::serve_keyed, the path
+ * queries use, keyed by (structural sub-plan fingerprint, graph
  * generation): a node whose sub-plan was computed before is a cache hit,
  * a node whose sub-plan is computing right now — in this plan or any
  * concurrently submitted one — joins that flight as a follower, and
@@ -20,17 +20,14 @@
  * same graph and source.
  */
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "gm/graph/frontier.hh"
-#include "gm/par/thread_pool.hh"
+#include "gm/obs/metrics.hh"
 #include "gm/plan/execute.hh"
 #include "gm/serve/server.hh"
-#include "gm/support/fault_injector.hh"
 #include "gm/support/json.hh"
 #include "gm/support/log.hh"
 #include "gm/support/timer.hh"
@@ -105,16 +102,6 @@ classify_node_cancel(const PlanState& state, std::int64_t deadline_ns)
                           std::to_string(state.req.node_deadline_ms) +
                           " ms exceeded");
     return Status(StatusCode::kCancelled, "plan cancelled by caller");
-}
-
-/** Trace ids render as fixed-width hex, matching the query records. */
-std::string
-plan_trace_hex(std::uint64_t trace_id)
-{
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(trace_id));
-    return std::string(hex);
 }
 
 } // namespace
@@ -391,147 +378,43 @@ Server::plan_run_node(PlanState& state, int id)
                                : std::min(input_generation, gen);
     }
 
+    const auto execute = [&]() -> StatusOr<ResultValue> {
+        const plan::Context ctx{state.ds.get(), state.fw, state.req.mode};
+        return plan::execute_node(plan, id, inputs, ctx);
+    };
     const std::string key =
         make_plan_node_key(state, plan.fingerprint(id));
-    ResultCache::Lookup lookup =
-        cache_.lookup_or_join(key, state.ds->store()->generation());
-    switch (lookup.role) {
-      case ResultCache::Role::kHit: {
-          out.value = std::move(lookup.value);
-          out.fingerprint = lookup.fingerprint;
-          out.cache_hit = true;
-          state.node_generations[static_cast<std::size_t>(id)] =
-              lookup.generation;
-          return;
-      }
-      case ResultCache::Role::kFollower: {
-          // Same join discipline as wait_for_leader: short polls, exits
-          // on the plan's cancel or this node's deadline (the deadline
-          // timer raises the node token).
-          ResultCache::Inflight& flight = *lookup.flight;
-          std::unique_lock<std::mutex> lock(flight.mu);
-          while (!flight.done) {
-              if (state.token->requested() || node_token.requested()) {
-                  out.status = classify_node_cancel(state, deadline_ns);
-                  return;
-              }
-              flight.cv.wait_for(lock, std::chrono::milliseconds(2));
-          }
-          if (flight.status.is_ok()) {
-              out.value = flight.value;
-              out.fingerprint = flight.fingerprint;
-              out.shared_execution = true;
-              state.node_generations[static_cast<std::size_t>(id)] =
-                  flight.generation;
-              return;
-          }
-          switch (flight.status.code()) {
-            case StatusCode::kTimeout:
-            case StatusCode::kDeadlineExceeded:
-            case StatusCode::kCancelled:
-              out.status = Status(
-                  StatusCode::kCancelled,
-                  "single-flight leader abandoned; safe to retry");
-              return;
-            default:
-              out.status = flight.status;
-              return;
-          }
-      }
-      case ResultCache::Role::kLeader:
-        break;
+    // The node token carries both stop signals: PlanHandle::cancel()
+    // raises every node token, and the node's deadline timer raises its
+    // own, so one slow node expires without cancelling its siblings.
+    const detail::ServeCall call{key,
+                                 *state.ds->store(),
+                                 node_width(node, state.req.width),
+                                 "serve.plan.node",
+                                 node_token,
+                                 deadline_ns,
+                                 input_generation,
+                                 execute,
+                                 {}};
+    detail::Served served = serve_keyed(call);
+    out.status = served.stopped ? classify_node_cancel(state, deadline_ns)
+                                : std::move(served.status);
+    if (out.status.is_ok()) {
+        out.value = std::move(served.value);
+        out.fingerprint = served.fingerprint;
+        out.cache_hit = served.role == ResultCache::Role::kHit;
+        out.shared_execution = served.role == ResultCache::Role::kFollower;
+        state.node_generations[static_cast<std::size_t>(id)] =
+            served.generation;
     }
-
-    // Leader: charge this node's lanes, pin the generation, execute,
-    // publish.  publish() runs on every path out of this block — a
-    // leader that never publishes would hang its followers.
-    const int width = node_width(node, state.req.width);
-    if (!plan_acquire_lanes(state, node_token, deadline_ns, width)) {
-        out.status = classify_node_cancel(state, deadline_ns);
-        cache_.publish(key, lookup.flight, out.status, nullptr, 0, 0);
-        return;
-    }
-    const std::uint64_t exec_generation =
-        state.ds->store()->generation();
-    Status status;
-    std::shared_ptr<const ResultValue> value;
-    std::uint64_t fingerprint = 0;
-    const std::int64_t exec_begin = Timer::now_ns();
-    try {
-        support::ScopedCancelToken scope(
-            state.node_tokens[static_cast<std::size_t>(id)].get());
-        par::LaneLease lease(width);
-        support::FaultInjector::global().at("serve.plan.node");
-        support::check_cancelled();
-        plan::Context ctx{state.ds.get(), state.fw, state.req.mode};
-        StatusOr<plan::Value> produced =
-            plan::execute_node(plan, id, inputs, ctx);
-        if (produced.is_ok()) {
-            plan::Value v = std::move(produced).value();
-            fingerprint = result_fingerprint(v);
-            value = std::make_shared<const ResultValue>(std::move(v));
-        } else {
-            status = produced.status();
-        }
-    } catch (...) {
-        status = support::current_exception_status();
-    }
-    if (status.code() == StatusCode::kTimeout)
-        status = classify_node_cancel(state, deadline_ns);
-    // An answer derived from pre-compaction inputs is tagged with the
-    // inputs' generation: the entry stops being a fresh hit once the
-    // store moves on, exactly like a pre-mutation query entry.
-    const std::uint64_t generation =
-        input_generation == 0
-            ? exec_generation
-            : std::min(exec_generation, input_generation);
-    cache_.publish(key, lookup.flight, status, value, fingerprint,
-                   generation);
-    const std::int64_t exec_ns = Timer::now_ns() - exec_begin;
-    release_lanes(width);
-    out.status = status;
-    out.execute_seconds =
-        static_cast<double>(std::max<std::int64_t>(1, exec_ns)) * 1e-9;
-    if (status.is_ok()) {
-        out.value = std::move(value);
-        out.fingerprint = fingerprint;
-        state.node_generations[static_cast<std::size_t>(id)] = generation;
-    }
-    if (tm_ != nullptr)
-        tm_->plan_node_execute_ns->record(static_cast<std::uint64_t>(
-            std::max<std::int64_t>(0, exec_ns)));
-}
-
-bool
-Server::plan_acquire_lanes(const PlanState& state,
-                           const support::CancelToken& node_token,
-                           std::int64_t deadline_ns, int width)
-{
-    detail::LaneGate& gate = *state.gate;
-    std::unique_lock<std::mutex> lock(gate.mu);
-    for (;;) {
-        if (state.token->requested() || node_token.requested())
-            return false;
-        if (deadline_ns != 0 && Timer::now_ns() >= deadline_ns)
-            return false;
-        if (gate.in_use + width <= lane_budget_) {
-            gate.in_use += width;
-            if (tm_ != nullptr)
-                tm_->lanes_in_use->set(gate.in_use);
-            return true;
-        }
-        // Same argument as acquire_lanes: budget holders always finish,
-        // so the wait terminates; PlanHandle::cancel() notifies the
-        // gate, and a node deadline bounds the wait when one is set.
-        if (deadline_ns == 0) {
-            gate.cv.wait(lock);
-        } else {
-            const std::int64_t remaining_ns =
-                deadline_ns - Timer::now_ns();
-            if (remaining_ns > 0)
-                gate.cv.wait_for(lock,
-                                 std::chrono::nanoseconds(remaining_ns));
-        }
+    if (served.executed) {
+        out.execute_seconds =
+            static_cast<double>(
+                std::max<std::int64_t>(1, served.execute_ns)) *
+            1e-9;
+        if (tm_ != nullptr)
+            tm_->plan_node_execute_ns->record(static_cast<std::uint64_t>(
+                std::max<std::int64_t>(0, served.execute_ns)));
     }
 }
 
@@ -545,7 +428,7 @@ Server::write_plan_record(detail::PlanState& state)
         std::lock_guard<std::mutex> lock(state.mu);
         const PlanResult& r = state.result;
         line << "{\"kind\":\"serve.plan\",\"trace\":\""
-             << plan_trace_hex(r.trace_id) << "\",\"status\":\""
+             << obs::trace_hex(r.trace_id) << "\",\"status\":\""
              << support::to_string(state.status.code())
              << "\",\"graph\":\"" << support::json_escape(state.req.graph)
              << "\",\"framework\":\""

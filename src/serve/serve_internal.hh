@@ -20,6 +20,7 @@
 
 #include "gm/harness/dataset.hh"
 #include "gm/harness/framework.hh"
+#include "gm/par/function_ref.hh"
 #include "gm/serve/server.hh"
 #include "gm/support/status.hh"
 #include "gm/support/watchdog.hh"
@@ -221,17 +222,72 @@ struct ServeTelemetry
 /**
  * Core-budget scheduler state: lanes charged to currently executing
  * leaders, plus the condition variable lane waiters block on.  Waits are
- * event-driven — release_lanes(), Handle::cancel(), and shutdown() all
- * notify cv — so acquire_lanes never has to poll.  Shared-ptr-owned by
- * the Server and by every RequestState: cancel() wakes waiters through
- * the request's own reference, never through the server, so a Handle
- * outliving the Server stays safe.
+ * event-driven — release_lanes(), Handle::cancel(), PlanHandle::cancel()
+ * and shutdown() all notify cv — so acquire_lanes never has to poll.
+ * Shared-ptr-owned by the Server and by every RequestState and
+ * PlanState: cancel() wakes waiters through the handle's own reference,
+ * never through the server, so a handle outliving the Server stays
+ * safe.
  */
 struct LaneGate
 {
     std::mutex mu;
     std::condition_variable cv;
     int in_use = 0; ///< lanes held by executing leaders; guarded by mu
+};
+
+/** Points in the shared serve path a caller may observe as they happen
+ *  (before any wait), e.g. to count a join that is still in flight. */
+enum class ServeStage
+{
+    kHit,       ///< answered from a fresh cache entry
+    kJoined,    ///< follower of an identical in-flight computation
+    kLeading,   ///< leader, about to charge its width to the lane budget
+    kExecuting, ///< leader, lanes granted, about to execute
+};
+
+/**
+ * One keyed computation for Server::serve_keyed: the cache identity, the
+ * store whose generation the answer depends on, the lanes a leader
+ * charges, and the stop condition as data — the token (raised by cancel
+ * and by the deadline scheduler) or the absolute deadline passing.  The
+ * path never asks who its caller is.
+ */
+struct ServeCall
+{
+    const std::string& key;
+    const store::GraphStore& store;
+    int width = 1;
+    /** Fault site fired before executing; also names the execution
+     *  span. */
+    const char* site = nullptr;
+    const support::CancelToken& token;
+    std::int64_t deadline_ns = 0; ///< absolute Timer::now_ns(); 0 = none
+    /** Ceiling on the published generation (0 = none): an answer derived
+     *  from older inputs is tagged with their generation, so it stops
+     *  being a fresh hit once the store moves on. */
+    std::uint64_t generation_cap = 0;
+    par::FunctionRef<support::StatusOr<ResultValue>()> execute;
+    par::FunctionRef<void(ServeStage)> observe; ///< optional
+};
+
+/** What Server::serve_keyed did for one ServeCall. */
+struct Served
+{
+    ResultCache::Role role = ResultCache::Role::kHit;
+    /** Ok with a value, the leader's error, or a follower's mapped
+     *  status; meaningless when stopped. */
+    support::Status status;
+    /** The stop condition fired (while joined, waiting for lanes, or
+     *  mid-kernel); the caller classifies it as deadline or cancel. */
+    bool stopped = false;
+    /** Lanes were charged and the computation ran (or failed). */
+    bool executed = false;
+    std::shared_ptr<const ResultValue> value;
+    std::uint64_t fingerprint = 0;
+    std::uint64_t generation = 0;
+    int lanes = 0;               ///< granted lease width when executed
+    std::int64_t execute_ns = 0; ///< leader execute-through-publish time
 };
 
 /** Everything one submitted request carries through the pipeline.  Heap-

@@ -7,8 +7,6 @@
 #include <sstream>
 #include <thread>
 
-#include <cstdio>
-
 #include "gm/dyn/incremental.hh"
 #include "gm/obs/metrics.hh"
 #include "gm/par/thread_pool.hh"
@@ -722,143 +720,92 @@ Server::process(const std::shared_ptr<RequestState>& state)
     obs::TraceSession session;
     session.start_detached();
     Status status;
-    bool executed = false;
     {
         obs::SessionBinding binding(session.gen());
         obs::record_span("serve.queue_wait", state->submit_ns, dequeue_ns);
-        // Bind the request's trace id to the session so its spans and the
-        // JSONL record carry the same identity.
-        obs::counter_max("serve.trace", state->req.trace_id);
 
-        // The generation the caller wants: whatever the store serves
-        // right now.  A mutate() landing after this read is harmless —
-        // the entry (or execution) reflects a coherent snapshot either
-        // way; the next lookup sees the new generation.
-        ResultCache::Lookup lookup = cache_.lookup_or_join(
-            state->cache_key, state->ds->store()->generation());
-        switch (lookup.role) {
-          case ResultCache::Role::kHit: {
-              obs::counter_add("serve.cache_hit", 1);
-              {
-                  std::lock_guard<std::mutex> lock(stats_mu_);
-                  ++counters_.cache_hits;
-              }
-              result.value = std::move(lookup.value);
-              result.fingerprint = lookup.fingerprint;
-              result.generation = lookup.generation;
-              result.cache_hit = true;
-              record_cell_outcome(*state, status, /*executed=*/false);
-              break;
-          }
-          case ResultCache::Role::kFollower: {
-              {
-                  std::lock_guard<std::mutex> lock(stats_mu_);
-                  ++counters_.single_flight_joins;
-              }
-              const std::int64_t join_begin = Timer::now_ns();
-              status = wait_for_leader(*state, *lookup.flight, result);
-              obs::record_span("serve.join_wait", join_begin,
-                               Timer::now_ns());
-              record_cell_outcome(*state, status, /*executed=*/false);
-              break;
-          }
-          case ResultCache::Role::kLeader: {
-              // Core-budget scheduling: charge the request's width
-              // against the lane budget before executing.  Cache hits
-              // and followers never touch the budget, so they are served
-              // even when every lane is busy.
-              const int width = state->req.width;
-              if (tm_ != nullptr)
-                  tm_->lanes_requested->inc(
-                      static_cast<std::uint64_t>(width));
-              if (!acquire_lanes(*state, width)) {
-                  status = classify_cancel(*state);
-                  record_cell_outcome(*state, status, /*executed=*/false);
-                  // Wake followers: their leader never ran ("abandoned"
-                  // at wait_for_leader, so they retry cleanly).
-                  cache_.publish(state->cache_key, lookup.flight, status,
-                                 nullptr, 0, 0);
-                  break;
-              }
-              // Pinned while lanes are held: mutate() needs the whole
-              // budget, so the generation cannot move under execution.
-              const std::uint64_t exec_generation =
-                  state->ds->store()->generation();
-              executed = true;
-              {
-                  std::lock_guard<std::mutex> lock(stats_mu_);
-                  ++counters_.executions;
-              }
-              if (tm_ != nullptr)
-                  tm_->executions->inc();
-              const std::int64_t exec_begin = Timer::now_ns();
-              std::shared_ptr<const ResultValue> value;
-              std::uint64_t fingerprint = 0;
-              try {
-                  // Multi-lane execution under a LaneLease: the kernel's
-                  // forks run on the leased lanes only, so concurrent
-                  // requests parallelize on disjoint lane sets, and
-                  // order-deterministic kernels make the payload
-                  // bit-identical to a serial run at any width.
-                  support::ScopedCancelToken scope(state->token.get());
-                  par::LaneLease lease(width);
-                  result.lanes = lease.width();
-                  obs::counter_add(
-                      "serve.lanes",
-                      static_cast<std::uint64_t>(lease.width()));
-                  obs::ScopedSpan span("serve.execute");
-                  support::FaultInjector::global().at("serve.execute");
-                  support::check_cancelled();
-                  ResultValue v = execute_kernel(*state);
-                  fingerprint = result_fingerprint(v);
-                  value = std::make_shared<const ResultValue>(std::move(v));
-              } catch (...) {
-                  status = support::current_exception_status();
-              }
-              // Cooperative unwinds surface as the watchdog's kTimeout;
-              // re-express them in service terms.
-              if (status.code() == StatusCode::kTimeout)
-                  status = classify_cancel(*state);
-              record_cell_outcome(*state, status, /*executed=*/true);
-              cache_.publish(state->cache_key, lookup.flight, status,
-                             value, fingerprint, exec_generation);
-              if (status.is_ok()) {
-                  result.value = std::move(value);
-                  result.fingerprint = fingerprint;
-                  result.generation = exec_generation;
-              }
-              const std::int64_t exec_ns = Timer::now_ns() - exec_begin;
-              result.execute_seconds =
-                  static_cast<double>(exec_ns) * 1e-9;
-              {
-                  std::lock_guard<std::mutex> lock(stats_mu_);
-                  counters_.lanes_granted +=
-                      static_cast<std::uint64_t>(
-                          std::max(0, result.lanes));
-              }
-              if (tm_ != nullptr) {
-                  tm_->lanes_granted->inc(static_cast<std::uint64_t>(
-                      std::max(0, result.lanes)));
-                  tm_->execute_ns->record(
-                      static_cast<std::uint64_t>(std::max<std::int64_t>(
-                          0, exec_ns)));
-              }
-              {
-                  // Feed the admission drain estimate: what one queue
-                  // slot actually cost, success or not.
-                  std::lock_guard<std::mutex> lock(queue_mu_);
-                  admission_.record_service(exec_ns);
-              }
-              release_lanes(width);
-              break;
-          }
+        std::int64_t join_begin = 0;
+        const auto observe = [&](detail::ServeStage stage) {
+            std::lock_guard<std::mutex> lock(stats_mu_);
+            switch (stage) {
+              case detail::ServeStage::kHit:
+                obs::counter_add("serve.cache_hit", 1);
+                ++counters_.cache_hits;
+                break;
+              case detail::ServeStage::kJoined:
+                join_begin = Timer::now_ns();
+                ++counters_.single_flight_joins;
+                break;
+              case detail::ServeStage::kLeading:
+                if (tm_ != nullptr)
+                    tm_->lanes_requested->inc(
+                        static_cast<std::uint64_t>(state->req.width));
+                break;
+              case detail::ServeStage::kExecuting:
+                ++counters_.executions;
+                if (tm_ != nullptr)
+                    tm_->executions->inc();
+                break;
+            }
+        };
+        const auto execute = [&state]() -> StatusOr<ResultValue> {
+            return execute_kernel(*state);
+        };
+        // The lookup generation is whatever the store serves right now.
+        // A mutate() landing after this read is harmless — the entry (or
+        // execution) reflects a coherent snapshot either way; the next
+        // lookup sees the new generation.
+        const detail::ServeCall call{state->cache_key,
+                                     *state->ds->store(),
+                                     state->req.width,
+                                     "serve.execute",
+                                     *state->token,
+                                     state->deadline_ns,
+                                     /*generation_cap=*/0,
+                                     execute,
+                                     observe};
+        detail::Served served = serve_keyed(call);
+        status = served.stopped ? classify_cancel(*state)
+                                : std::move(served.status);
+        if (served.role == ResultCache::Role::kFollower)
+            obs::record_span("serve.join_wait", join_begin,
+                             Timer::now_ns());
+        record_cell_outcome(*state, status, served.executed);
+        if (status.is_ok()) {
+            result.value = std::move(served.value);
+            result.fingerprint = served.fingerprint;
+            result.generation = served.generation;
+            result.cache_hit = served.role == ResultCache::Role::kHit;
+            result.shared_execution =
+                served.role == ResultCache::Role::kFollower;
+        }
+        if (served.executed) {
+            result.lanes = served.lanes;
+            result.execute_seconds =
+                static_cast<double>(served.execute_ns) * 1e-9;
+            {
+                std::lock_guard<std::mutex> lock(stats_mu_);
+                counters_.lanes_granted +=
+                    static_cast<std::uint64_t>(served.lanes);
+            }
+            if (tm_ != nullptr) {
+                tm_->lanes_granted->inc(
+                    static_cast<std::uint64_t>(served.lanes));
+                tm_->execute_ns->record(static_cast<std::uint64_t>(
+                    std::max<std::int64_t>(0, served.execute_ns)));
+            }
+            // Feed the admission drain estimate: what one queue slot
+            // actually cost, success or not.
+            std::lock_guard<std::mutex> lock(queue_mu_);
+            admission_.record_service(served.execute_ns);
         }
     }
-    (void)executed;
     session.stop();
-    if (result.lanes > 0 && result.execute_seconds > 0) {
+    if (result.lanes > 1 && result.execute_seconds > 0) {
         // Lane busy time over lanes x wall: 1.0 means every granted lane
-        // was busy for the whole execution.
+        // was busy for the whole execution.  A one-lane execution runs
+        // its forks inline and records no busy time, so it has no
+        // efficiency to report.
         const obs::TrialMetrics summary = obs::summarize(session);
         result.parallel_efficiency =
             std::min(1.0, summary.busy_seconds /
@@ -870,38 +817,126 @@ Server::process(const std::shared_ptr<RequestState>& state)
                                            1e6));
     }
     if (!options_.metrics_path.empty())
-        write_metrics_record(*state, session);
+        write_metrics_record(*state, session, result);
     complete(state, std::move(status), std::move(result));
     flush_breaker_transitions();
 }
 
+detail::Served
+Server::serve_keyed(const detail::ServeCall& call)
+{
+    const auto observe = [&call](detail::ServeStage stage) {
+        if (call.observe)
+            call.observe(stage);
+    };
+    detail::Served out;
+    ResultCache::Lookup lookup =
+        cache_.lookup_or_join(call.key, call.store.generation());
+    out.role = lookup.role;
+    switch (lookup.role) {
+      case ResultCache::Role::kHit:
+        observe(detail::ServeStage::kHit);
+        out.value = std::move(lookup.value);
+        out.fingerprint = lookup.fingerprint;
+        out.generation = lookup.generation;
+        return out;
+      case ResultCache::Role::kFollower:
+        observe(detail::ServeStage::kJoined);
+        wait_for_leader(call, *lookup.flight, out);
+        return out;
+      case ResultCache::Role::kLeader:
+        break;
+    }
+
+    // Leader.  publish() runs on every path out of here — a leader that
+    // never publishes would hang its followers.  Hits and followers never
+    // touch the lane budget, so they are served even when every lane is
+    // busy.
+    observe(detail::ServeStage::kLeading);
+    if (!acquire_lanes(call)) {
+        out.stopped = true;
+        // Followers see an abandoned leader and retry cleanly.
+        cache_.publish(call.key, lookup.flight,
+                       Status(StatusCode::kCancelled,
+                              "stopped before execution"),
+                       nullptr, 0, 0);
+        return out;
+    }
+    // Pinned while lanes are held: mutate() needs the whole budget, so
+    // the generation cannot move under execution.
+    const std::uint64_t exec_generation = call.store.generation();
+    out.executed = true;
+    observe(detail::ServeStage::kExecuting);
+    const std::int64_t exec_begin = Timer::now_ns();
+    std::shared_ptr<const ResultValue> value;
+    std::uint64_t fingerprint = 0;
+    try {
+        // Multi-lane execution under a LaneLease: the kernel's forks run
+        // on the leased lanes only, so concurrent leaders parallelize on
+        // disjoint lane sets, and order-deterministic kernels make the
+        // payload bit-identical to a serial run at any width.
+        support::ScopedCancelToken scope(&call.token);
+        par::LaneLease lease(call.width);
+        out.lanes = lease.width();
+        obs::ScopedSpan span(call.site);
+        support::FaultInjector::global().at(call.site);
+        support::check_cancelled();
+        StatusOr<ResultValue> produced = call.execute();
+        if (produced.is_ok()) {
+            fingerprint = result_fingerprint(*produced);
+            value = std::make_shared<const ResultValue>(
+                std::move(produced).value());
+        } else {
+            out.status = produced.status();
+        }
+    } catch (...) {
+        out.status = support::current_exception_status();
+    }
+    // Cooperative unwinds surface as the watchdog's kTimeout.
+    out.stopped = out.status.code() == StatusCode::kTimeout;
+    const std::uint64_t generation =
+        call.generation_cap == 0
+            ? exec_generation
+            : std::min(exec_generation, call.generation_cap);
+    cache_.publish(call.key, lookup.flight, out.status, value, fingerprint,
+                   generation);
+    out.execute_ns = Timer::now_ns() - exec_begin;
+    release_lanes(call.width);
+    if (out.status.is_ok()) {
+        out.value = std::move(value);
+        out.fingerprint = fingerprint;
+        out.generation = generation;
+    }
+    return out;
+}
+
 bool
-Server::acquire_lanes(const RequestState& state, int width)
+Server::acquire_lanes(const detail::ServeCall& call)
 {
     detail::LaneGate& gate = *lane_gate_;
     std::unique_lock<std::mutex> lock(gate.mu);
     for (;;) {
-        if (state.user_cancelled.load(std::memory_order_relaxed))
+        if (call.token.requested())
             return false;
-        if (state.deadline_ns != 0 && Timer::now_ns() >= state.deadline_ns)
+        if (call.deadline_ns != 0 && Timer::now_ns() >= call.deadline_ns)
             return false;
-        if (gate.in_use + width <= lane_budget_) {
-            gate.in_use += width;
+        if (gate.in_use + call.width <= lane_budget_) {
+            gate.in_use += call.width;
             if (tm_ != nullptr)
                 tm_->lanes_in_use->set(gate.in_use);
             return true;
         }
         // Budget holders are executing leaders, which always finish, so
         // this wait cannot deadlock — including during shutdown's queue
-        // drain.  Wakeups are event-driven (release_lanes, cancel(), and
-        // shutdown() all notify); the only timed bound needed is the
-        // request's own deadline, so expiry is reported the moment it
-        // passes instead of on the next poll tick.
-        if (state.deadline_ns == 0) {
+        // drain.  Wakeups are event-driven (release_lanes, both handles'
+        // cancel(), and shutdown() all notify); the only timed bound
+        // needed is the call's own deadline, so expiry is reported the
+        // moment it passes instead of on the next poll tick.
+        if (call.deadline_ns == 0) {
             gate.cv.wait(lock);
         } else {
             const std::int64_t remaining_ns =
-                state.deadline_ns - Timer::now_ns();
+                call.deadline_ns - Timer::now_ns();
             if (remaining_ns > 0)
                 gate.cv.wait_for(lock,
                                  std::chrono::nanoseconds(remaining_ns));
@@ -937,28 +972,24 @@ Server::acquire_all_lanes()
         tm_->lanes_in_use->set(gate.in_use);
 }
 
-Status
-Server::wait_for_leader(RequestState& state, ResultCache::Inflight& flight,
-                        QueryResult& result)
+void
+Server::wait_for_leader(const detail::ServeCall& call,
+                        ResultCache::Inflight& flight, detail::Served& out)
 {
     std::unique_lock<std::mutex> lock(flight.mu);
     while (!flight.done) {
-        if (state.user_cancelled.load(std::memory_order_relaxed))
-            return Status(StatusCode::kCancelled, "cancelled by caller");
-        if (state.deadline_ns != 0 && Timer::now_ns() >= state.deadline_ns)
-            return Status(StatusCode::kDeadlineExceeded,
-                          "deadline of " +
-                              std::to_string(state.req.deadline_ms) +
-                              " ms exceeded while joined to an "
-                              "in-flight execution");
+        if (call.token.requested() ||
+            (call.deadline_ns != 0 && Timer::now_ns() >= call.deadline_ns)) {
+            out.stopped = true;
+            return;
+        }
         flight.cv.wait_for(lock, std::chrono::milliseconds(2));
     }
     if (flight.status.is_ok()) {
-        result.value = flight.value;
-        result.fingerprint = flight.fingerprint;
-        result.generation = flight.generation;
-        result.shared_execution = true;
-        return Status::ok();
+        out.value = flight.value;
+        out.fingerprint = flight.fingerprint;
+        out.generation = flight.generation;
+        return;
     }
     switch (flight.status.code()) {
       case StatusCode::kTimeout:
@@ -966,11 +997,13 @@ Server::wait_for_leader(RequestState& state, ResultCache::Inflight& flight,
       case StatusCode::kCancelled:
         // The leader was abandoned for reasons unrelated to the query
         // itself; this follower's answer was never computed.
-        return Status(StatusCode::kCancelled,
-                      "single-flight leader abandoned; safe to retry");
+        out.status = Status(StatusCode::kCancelled,
+                            "single-flight leader abandoned; safe to retry");
+        return;
       default:
         // Deterministic failure: retrying the same query would repeat it.
-        return flight.status;
+        out.status = flight.status;
+        return;
     }
 }
 
@@ -1056,7 +1089,8 @@ Server::complete(const std::shared_ptr<RequestState>& state, Status status,
 
 void
 Server::write_metrics_record(const RequestState& state,
-                             const obs::TraceSession& session)
+                             const obs::TraceSession& session,
+                             const QueryResult& result)
 {
     obs::MetricsRecord record;
     record.mode = harness::to_string(state.req.mode);
@@ -1067,6 +1101,10 @@ Server::write_metrics_record(const RequestState& state,
     record.attempt = state.req.attempt;
     record.trace_id = state.req.trace_id;
     record.metrics = obs::summarize(session);
+    // One notion of width: the granted lease, which a one-lane execution
+    // has even though its inline forks never record par.lanes.
+    record.metrics.lanes = result.lanes;
+    record.metrics.parallel_efficiency = result.parallel_efficiency;
     record.metrics.peak_bytes = state.ds->bytes_resident();
     append_jsonl(options_.metrics_path, obs::metrics_record_line(record));
 }
@@ -1169,21 +1207,6 @@ Server::mint_trace_id()
     return id == 0 ? 1 : id; // 0 means "mint for me"
 }
 
-namespace
-{
-
-/** Trace ids render as fixed-width hex, matching obs::metrics_record_line. */
-std::string
-trace_hex(std::uint64_t trace_id)
-{
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(trace_id));
-    return std::string(hex);
-}
-
-} // namespace
-
 void
 Server::write_refusal_record(const RequestState& state,
                              const Status& status, bool served_degraded)
@@ -1192,7 +1215,7 @@ Server::write_refusal_record(const RequestState& state,
         return;
     std::ostringstream line;
     line << "{\"kind\":\"serve.refusal\",\"trace\":\""
-         << trace_hex(state.req.trace_id)
+         << obs::trace_hex(state.req.trace_id)
          << "\",\"attempt\":" << state.req.attempt << ",\"code\":\""
          << support::to_string(status.code()) << "\",\"cell\":\""
          << support::json_escape(state.cell_key)

@@ -499,6 +499,122 @@ TEST(PlanServeTest, CancelStopsThePlan)
     EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
 
+/** Spin until @p pred or ~4 s; returns whether it held. */
+template <typename Pred>
+bool
+eventually(Pred&& pred)
+{
+    for (int i = 0; i < 2000; ++i) {
+        if (pred())
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return pred();
+}
+
+/** A query that holds the whole lane budget of a two-lane server for
+ *  about 400 ms (the first serve.execute fault site delays), a
+ *  full-width plan that must wait behind it, and the check that the
+ *  budget is free again afterwards. */
+struct LaneBudgetHolder
+{
+    static constexpr int kBudget = 2;
+    ScopedFaults faults{"serve.execute:1x:14:delay=400"};
+    Server server{suite(), frameworks(), options()};
+    Server::Handle handle;
+
+    static ServerOptions
+    options()
+    {
+        ServerOptions options = with_workers(2);
+        options.lane_budget = kBudget;
+        return options;
+    }
+
+    static Request
+    request(Kernel kernel)
+    {
+        Request req;
+        req.kernel = kernel;
+        req.graph = "Kron";
+        req.width = kBudget;
+        return req;
+    }
+
+    LaneBudgetHolder()
+    {
+        auto submitted = server.submit(request(Kernel::kCC));
+        EXPECT_TRUE(submitted.is_ok());
+        handle = *std::move(submitted);
+        EXPECT_TRUE(eventually(
+            [&] { return server.stats_snapshot().executions == 1; }));
+    }
+
+    static PlanRequest
+    plan_request()
+    {
+        PlanRequest req;
+        req.graph = "Kron";
+        req.plan.add_kernel(Kernel::kBFS, 1);
+        req.width = kBudget;
+        return req;
+    }
+
+    /** The holder is still executing: whatever returned meanwhile was
+     *  woken by something other than the lanes being released. */
+    bool
+    still_holding() const
+    {
+        return handle.wait_for(0).status().code() ==
+               StatusCode::kDeadlineExceeded;
+    }
+
+    void
+    expect_budget_free()
+    {
+        ASSERT_TRUE(handle.wait().is_ok());
+        Request req = request(Kernel::kTC);
+        req.deadline_ms = 5000; // a leaked budget fails, never hangs
+        auto got = server.query(req);
+        ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+        EXPECT_FALSE(got->cache_hit);
+        EXPECT_EQ(server.stats_snapshot().executions, 2u);
+    }
+};
+
+TEST(PlanServeTest, CancelWakesNodeBlockedOnLaneBudget)
+{
+    LaneBudgetHolder holder;
+    auto plan = holder.server.submit_plan(LaneBudgetHolder::plan_request());
+    ASSERT_TRUE(plan.is_ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    plan->cancel();
+    auto result = plan->wait();
+    ASSERT_FALSE(result.is_ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+    EXPECT_TRUE(holder.still_holding());
+    holder.expect_budget_free();
+    EXPECT_EQ(holder.server.stats_snapshot().plan_nodes_executed, 0u);
+}
+
+TEST(PlanServeTest, NodeDeadlineReleasesNodeBlockedOnLaneBudget)
+{
+    LaneBudgetHolder holder;
+    PlanRequest req = LaneBudgetHolder::plan_request();
+    req.node_deadline_ms = 40;
+    auto result = holder.server.run_plan(req);
+    ASSERT_FALSE(result.is_ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_TRUE(holder.still_holding());
+    holder.expect_budget_free();
+
+    // Nothing was cached for the expired node: it executes when resubmitted
+    // without a deadline.
+    auto retry = holder.server.run_plan(LaneBudgetHolder::plan_request());
+    ASSERT_TRUE(retry.is_ok()) << retry.status().to_string();
+    EXPECT_EQ(retry->executed, 1);
+}
+
 TEST(PlanServeTest, InjectedFaultFailsTheNodeDeterministically)
 {
     ScopedFaults faults("serve.plan.node:1x:3");

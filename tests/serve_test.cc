@@ -590,6 +590,7 @@ TEST(ServeTest, WritesParseableMetricsRecords)
     const std::string path =
         testing::TempDir() + "gm_serve_metrics_test.jsonl";
     std::remove(path.c_str());
+    std::vector<std::uint64_t> trace_ids;
     {
         ServerOptions options;
         options.workers = 2;
@@ -599,8 +600,13 @@ TEST(ServeTest, WritesParseableMetricsRecords)
         req.kernel = Kernel::kBFS;
         req.graph = "Kron";
         req.source = suite()[3].sources[0];
-        ASSERT_TRUE(server.query(req).is_ok());
-        ASSERT_TRUE(server.query(req).is_ok()); // cache hit
+        for (int i = 0; i < 2; ++i) { // execution, then cache hit
+            auto handle = server.submit(req);
+            ASSERT_TRUE(handle.is_ok());
+            auto got = handle->wait();
+            ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+            trace_ids.push_back(got->trace_id);
+        }
     }
 
     std::ifstream in(path);
@@ -612,6 +618,14 @@ TEST(ServeTest, WritesParseableMetricsRecords)
     while (std::getline(in, line)) {
         auto record = obs::parse_metrics_record_line(line);
         ASSERT_TRUE(record.is_ok()) << line;
+        // The trace id is the record's own field, not a counter.
+        EXPECT_EQ(line.find("serve.trace"), std::string::npos) << line;
+        EXPECT_FALSE(record->metrics.maxima.count("serve.trace"));
+        EXPECT_FALSE(record->metrics.counters.count("serve.trace"));
+        ASSERT_LT(records, static_cast<int>(trace_ids.size()));
+        EXPECT_NE(record->trace_id, 0u);
+        EXPECT_EQ(record->trace_id,
+                  trace_ids[static_cast<std::size_t>(records)]);
         EXPECT_EQ(record->framework, "GAP");
         EXPECT_EQ(record->kernel, "BFS");
         EXPECT_EQ(record->graph, "Kron");
@@ -627,6 +641,146 @@ TEST(ServeTest, WritesParseableMetricsRecords)
     EXPECT_EQ(executed, 1);
     EXPECT_EQ(hits, 1);
     std::remove(path.c_str());
+}
+
+TEST(ServeTest, WidthOneExecutionRecordsOneLane)
+{
+    // A one-lane execution runs its forks inline and never records
+    // par.lanes; its record still reads the granted lease width.
+    const std::string path =
+        testing::TempDir() + "gm_serve_width_one_test.jsonl";
+    std::remove(path.c_str());
+    QueryResult executed;
+    {
+        ServerOptions options;
+        options.workers = 1;
+        options.metrics_path = path;
+        Server server = make_server(options);
+        Request req;
+        req.kernel = Kernel::kPR;
+        req.graph = "Urand";
+        req.width = 1;
+        auto got = server.query(req);
+        ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+        executed = *got;
+    }
+    EXPECT_EQ(executed.lanes, 1);
+    EXPECT_EQ(executed.parallel_efficiency, 0.0);
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    std::string line;
+    int records = 0;
+    while (std::getline(in, line)) {
+        auto record = obs::parse_metrics_record_line(line);
+        ASSERT_TRUE(record.is_ok()) << line;
+        EXPECT_NE(line.find("\"lanes\":1,"), std::string::npos) << line;
+        EXPECT_EQ(record->metrics.lanes, 1);
+        EXPECT_EQ(record->metrics.parallel_efficiency, 0.0);
+        ++records;
+    }
+    EXPECT_EQ(records, 1);
+    std::remove(path.c_str());
+}
+
+/** A request that holds the whole lane budget of a two-lane server for
+ *  about 400 ms (the first serve.execute fault site delays), plus the
+ *  check that the budget is free again afterwards: a full-width request
+ *  executes rather than waiting for lanes. */
+struct LaneBudgetHolder
+{
+    static constexpr int kBudget = 2;
+
+    static ServerOptions
+    options()
+    {
+        ServerOptions options;
+        options.workers = 3;
+        options.lane_budget = kBudget;
+        return options;
+    }
+
+    static Request
+    request(Kernel kernel)
+    {
+        Request req;
+        req.kernel = kernel;
+        req.graph = "Kron";
+        req.source = suite()[3].sources[0];
+        req.width = kBudget;
+        return req;
+    }
+
+    static void
+    expect_budget_free(Server& server)
+    {
+        const std::uint64_t before = server.stats_snapshot().executions;
+        Request req = request(Kernel::kTC);
+        req.deadline_ms = 5000; // a leaked budget fails, never hangs
+        auto got = server.query(req);
+        ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+        EXPECT_FALSE(got->cache_hit);
+        EXPECT_EQ(server.stats_snapshot().executions, before + 1);
+    }
+};
+
+TEST(ServeTest, CancelWakesLeaderBlockedOnLaneBudget)
+{
+    ScopedFaults faults("serve.execute:1x:12:delay=400");
+    Server server = make_server(LaneBudgetHolder::options());
+    auto holder = server.submit(LaneBudgetHolder::request(Kernel::kCC));
+    ASSERT_TRUE(holder.is_ok());
+    ASSERT_TRUE(eventually(
+        [&] { return server.stats_snapshot().executions == 1; }));
+
+    // A different query leads its own flight and blocks on the budget.
+    auto blocked = server.submit(LaneBudgetHolder::request(Kernel::kBFS));
+    ASSERT_TRUE(blocked.is_ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    blocked->cancel();
+    auto got = blocked->wait();
+    ASSERT_FALSE(got.is_ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kCancelled);
+    // Woken by the cancel, not by the holder releasing its lanes.
+    EXPECT_EQ(holder->wait_for(0).status().code(),
+              StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(server.stats_snapshot().executions, 1u);
+
+    ASSERT_TRUE(holder->wait().is_ok());
+    LaneBudgetHolder::expect_budget_free(server);
+}
+
+TEST(ServeTest, FollowerDeadlineExpiresWhileLeaderPublishes)
+{
+    ScopedFaults faults("serve.execute:1x:13:delay=300");
+    Server server = make_server(LaneBudgetHolder::options());
+    const Request req = LaneBudgetHolder::request(Kernel::kCC);
+    auto leader = server.submit(req);
+    ASSERT_TRUE(leader.is_ok());
+    ASSERT_TRUE(eventually(
+        [&] { return server.stats_snapshot().executions == 1; }));
+
+    Request impatient = req;
+    impatient.deadline_ms = 40;
+    auto follower = server.submit(impatient);
+    ASSERT_TRUE(follower.is_ok());
+    auto got = follower->wait();
+    ASSERT_FALSE(got.is_ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(server.stats_snapshot().single_flight_joins, 1u);
+    EXPECT_EQ(leader->wait_for(0).status().code(),
+              StatusCode::kDeadlineExceeded); // still executing
+
+    // The leader is unaffected: it publishes, and the answer is cached.
+    auto led = leader->wait();
+    ASSERT_TRUE(led.is_ok()) << led.status().to_string();
+    EXPECT_EQ(server.stats_snapshot().cache_entries, 1u);
+    auto hit = server.query(req);
+    ASSERT_TRUE(hit.is_ok()) << hit.status().to_string();
+    EXPECT_TRUE(hit->cache_hit);
+    EXPECT_EQ(hit->fingerprint, led->fingerprint);
+    EXPECT_EQ(server.stats_snapshot().executions, 1u);
+    LaneBudgetHolder::expect_budget_free(server);
 }
 
 // ----------------------------------------------------------- dyn / mutate

@@ -36,7 +36,9 @@
 # coherence via a mid-run gmtop --check scrape, profile_report's PLANS
 # table over the serve.plan JSONL records, and the >=4x multi-source
 # fusion win via bench/plan_batch perf_gated against the committed
-# perf/baselines/plan_batch.jsonl.
+# perf/baselines/plan_batch.jsonl, and the benchmark's own tests
+# (perfbench/test_perfbench.py: both workloads at toy size, every
+# metric printed, a corrupted answer caught).
 #
 #   tools/ci.sh              # from the repo root
 #   BUILD_DIR=ci tools/ci.sh # custom build directory prefix
@@ -481,5 +483,14 @@ fi
 "$BUILD_DIR/tools/perf_gate" --ref perf/baselines/plan_batch.jsonl \
     --cand "$PLAN_DIR/plan_batch.jsonl" \
     --report-out "$PLAN_DIR/plan_batch.report.jsonl"
+
+echo "== tier 11: benchmark tests (perfbench at toy size) =="
+# The repository benchmark's own tests: both workloads at scale 8 for 6 s
+# per run, untraced and traced, through perfbench/run.py (which builds
+# its own copy of the program under .bench_build/).  It is the one
+# end-to-end driver that mixes reads, fused plans and mutate() on one
+# server, with every answer checked; a deliberately corrupted answer
+# must fail the run.
+python3 perfbench/test_perfbench.py
 
 echo "== ci.sh: all green =="

@@ -586,6 +586,9 @@ struct PhaseStats
     double wall_seconds = 0;
     std::uint64_t executions = 0; ///< outcomes that ran a kernel
     std::uint64_t lanes_total = 0;
+    /** Executions on more than one lane: the only ones with a parallel
+     *  efficiency to average. */
+    std::uint64_t parallel_executions = 0;
     double efficiency_total = 0;
 
     double
@@ -599,9 +602,10 @@ struct PhaseStats
     double
     mean_parallel_efficiency() const
     {
-        return executions == 0
+        return parallel_executions == 0
                    ? 0
-                   : efficiency_total / static_cast<double>(executions);
+                   : efficiency_total /
+                         static_cast<double>(parallel_executions);
     }
 
     double
@@ -641,6 +645,9 @@ summarize_phase(const std::string& name,
         if (o.lanes > 0) {
             ++phase.executions;
             phase.lanes_total += static_cast<std::uint64_t>(o.lanes);
+        }
+        if (o.lanes > 1) {
+            ++phase.parallel_executions;
             phase.efficiency_total += o.parallel_efficiency;
         }
         switch (o.code) {
@@ -1122,12 +1129,17 @@ main(int argc, char** argv)
     std::vector<double> latencies;
     std::uint64_t ok = 0, deadline = 0, cancelled = 0, shed = 0,
                   failed = 0, hits = 0;
-    std::uint64_t execs = 0, lanes_total = 0;
+    // Efficiency is averaged over multi-lane executions only: a one-lane
+    // execution has none to report.
+    std::uint64_t execs = 0, lanes_total = 0, parallel_execs = 0;
     double efficiency_total = 0;
     for (const Outcome& o : outcomes) {
         if (o.lanes > 0) {
             ++execs;
             lanes_total += static_cast<std::uint64_t>(o.lanes);
+        }
+        if (o.lanes > 1) {
+            ++parallel_execs;
             efficiency_total += o.parallel_efficiency;
         }
         switch (o.code) {
@@ -1192,8 +1204,12 @@ main(int argc, char** argv)
                          static_cast<double>(execs)
                   << " over " << execs << " executions, mean efficiency "
                   << std::setprecision(3)
-                  << efficiency_total / static_cast<double>(execs)
-                  << " (" << stats.lanes_granted
+                  << (parallel_execs == 0
+                          ? 0.0
+                          : efficiency_total /
+                                static_cast<double>(parallel_execs))
+                  << " over " << parallel_execs
+                  << " multi-lane executions (" << stats.lanes_granted
                   << " lanes granted in total)\n";
     }
 
