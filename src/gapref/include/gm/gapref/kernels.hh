@@ -23,14 +23,12 @@ using graph::CSRGraph;
 using graph::WCSRGraph;
 
 /**
- * Direction-optimizing breadth-first search (Beamer et al.).
+ * Direction-optimizing breadth-first search (Beamer et al.).  Forwards to
+ * the shared graph::direction_optimizing_bfs.
  *
  * @return Parent array: parent[source] == source, kInvalidVid if unreached.
- * @param alpha Top-down -> bottom-up switch factor (default per GAPBS).
- * @param beta  Bottom-up -> top-down switch factor.
  */
-std::vector<vid_t> bfs(const CSRGraph& graph, vid_t source, int alpha = 15,
-                       int beta = 18);
+std::vector<vid_t> bfs(const CSRGraph& graph, vid_t source);
 
 /**
  * Delta-stepping SSSP with bucket fusion.  Forwards to the shared
@@ -60,8 +58,9 @@ std::vector<score_t> pagerank(const CSRGraph& graph, double damping = 0.85,
 std::vector<vid_t> cc_afforest(const CSRGraph& graph);
 
 /**
- * Approximate betweenness centrality (Brandes), @p num_sources roots.
- * Scores are normalized by the largest score, matching GAPBS.
+ * Approximate betweenness centrality (Brandes) from @p sources, with
+ * successor bitmaps; scores are normalized by the largest score, matching
+ * GAPBS.  Forwards to the shared graph::brandes_betweenness.
  */
 std::vector<score_t> bc(const CSRGraph& graph,
                         const std::vector<vid_t>& sources);

@@ -222,9 +222,9 @@ make_graphit()
 Framework
 make_gkc()
 {
-    // GKC's heuristics are internal (degree-skew-driven relabel, hardware-
-    // aware buffer sizes); both modes run the same code, as its Optimized
-    // gains in the paper came from hyperthreading.
+    // GKC's heuristics are internal (degree-skew-driven relabel); both
+    // modes run the same code, as its Optimized gains in the paper came
+    // from hyperthreading.
     Framework fw;
     fw.name = "GKC";
     fw.bfs = [](const Dataset& ds, vid_t src, Mode) {

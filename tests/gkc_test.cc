@@ -1,14 +1,10 @@
 /** Tests for the GKC-like hand-tuned kernels. */
 #include <gtest/gtest.h>
 
-#include <atomic>
-
 #include "gm/gapref/verify.hh"
 #include "gm/gkc/kernels.hh"
-#include "gm/gkc/local_buffer.hh"
 #include "gm/graph/builder.hh"
 #include "gm/graph/generators.hh"
-#include "gm/par/parallel_for.hh"
 #include "gm/support/rng.hh"
 
 namespace gm::gkc
@@ -47,36 +43,6 @@ pick_sources(const graph::CSRGraph& g, int count, std::uint64_t seed)
             sources.push_back(v);
     }
     return sources;
-}
-
-TEST(LocalBufferTest, FlushesOnOverflowAndDestruction)
-{
-    std::vector<int> global(1000);
-    std::size_t cursor = 0;
-    {
-        LocalBuffer<int> buf(global.data(), cursor, 16);
-        for (int i = 0; i < 100; ++i)
-            buf.push_back(i);
-    }
-    EXPECT_EQ(cursor, 100u);
-    std::multiset<int> got(global.begin(), global.begin() + 100);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(got.count(i), 1u);
-}
-
-TEST(LocalBufferTest, ConcurrentFlushesDoNotCollide)
-{
-    std::vector<int> global(100000);
-    std::size_t cursor = 0;
-    par::parallel_lanes([&](int lane, int lanes) {
-        LocalBuffer<int> buf(global.data(), cursor, 64);
-        for (int i = lane; i < 10000; i += lanes)
-            buf.push_back(i);
-    });
-    EXPECT_EQ(cursor, 10000u);
-    std::multiset<int> got(global.begin(), global.begin() + 10000);
-    for (int i = 0; i < 10000; ++i)
-        ASSERT_EQ(got.count(i), 1u);
 }
 
 TEST(IntersectSorted, HandCases)

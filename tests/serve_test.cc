@@ -985,5 +985,43 @@ TEST(ServeDynTest, WritesMutationRecords)
     std::remove(path.c_str());
 }
 
+TEST(ServeDynTest, MutateSecondsExcludesTheQuiesce)
+{
+    // A two-lane request holds the whole budget for 400 ms, so mutate()
+    // waits that long to quiesce; mutate_seconds must count only the
+    // apply/maintain/compact work after the wait.
+    ScopedFaults faults("serve.execute:1x:14:delay=400");
+    ServerOptions options;
+    options.workers = 2;
+    options.lane_budget = 2;
+    Server server(mutable_suite(), frameworks(), options);
+
+    using Clock = std::chrono::steady_clock;
+    const auto held_from = Clock::now();
+    Request req;
+    req.kernel = Kernel::kCC;
+    req.graph = "Mut";
+    req.width = 2;
+    auto holder = server.submit(req);
+    ASSERT_TRUE(holder.is_ok());
+    ASSERT_TRUE(eventually(
+        [&] { return server.stats_snapshot().executions == 1; }));
+
+    dyn::MutationBatch batch;
+    batch.insert(0, 200);
+    const auto mutate_from = Clock::now();
+    auto outcome = server.mutate("Mut", batch);
+    const auto mutate_to = Clock::now();
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+
+    const double hold_left =
+        0.4 - std::chrono::duration<double>(mutate_from - held_from).count();
+    ASSERT_GT(hold_left, 0.2);
+    EXPECT_GE(std::chrono::duration<double>(mutate_to - mutate_from).count(),
+              hold_left);
+    EXPECT_LT(outcome->mutate_seconds, hold_left / 4);
+    ASSERT_TRUE(holder->wait().is_ok());
+}
+
 } // namespace
 } // namespace gm::serve

@@ -16,28 +16,22 @@
 # mixed-width request population (lane-leased parallel execution),
 # open-loop under injected overload (deadline misses + shedding), and
 # through tools/serve_perf_check.sh (width-8 vs width-1 baselines must
-# show zero perf_gate regressions), and a
-# chaos smoke that runs serve_bench --chaos under a pinned fault storm
-# and gates on the availability SLO plus full circuit-breaker
-# open/half-open/closed cycles — now scraped live: gmtop hits the
-# --metrics-port endpoint mid-storm (format + counter-monotonicity
-# checks across two scrapes), the SLO burn monitor must fire in the
-# storm and clear by the settle phase, the scraped lifetime
-# availability must agree with the post-hoc SLO JSONL, and the
-# disabled-telemetry probe budget is enforced via
-# bench/telemetry_overhead, and a dynamic-graph smoke that re-runs the
-# chaos storm with a 10% write mix (Server::mutate batches between
-# queries), gating storm availability >= 99%, the monotone
-# gm_dyn_generation gauge across two mid-run scrapes, and
-# profile_report's consumption of the serve.mutation JSONL records,
-# and a plan smoke that re-runs the chaos storm with a 20% query-plan
-# mix on top of the 10% write mix (multi-kernel DAGs through
-# Server::submit_plan), gating storm availability >= 99%, plan-counter
-# coherence via a mid-run gmtop --check scrape, profile_report's PLANS
-# table over the serve.plan JSONL records, and the >=4x multi-source
-# fusion win via bench/plan_batch perf_gated against the committed
-# perf/baselines/plan_batch.jsonl, and the benchmark's own tests
-# (perfbench/test_perfbench.py: both workloads at toy size, every
+# show zero perf_gate regressions), one chaos storm: serve_bench --chaos
+# under a pinned fault storm with a 10% write mix (Server::mutate
+# batches between queries) and a 20% query-plan mix (multi-kernel DAGs
+# through Server::submit_plan), gating storm availability >= 99%, full
+# circuit-breaker open/half-open/closed cycles, mid-storm gmtop scrapes
+# of the --metrics-port endpoint (format, plan-counter coherence,
+# counter monotonicity, a monotone gm_dyn_generation gauge), an SLO burn
+# monitor that fires in the storm and clears by the settle phase, a
+# scraped lifetime availability that agrees with the post-hoc SLO
+# JSONL, and profile_report's consumption of the breaker, SLO,
+# serve.mutation and serve.plan records; then the serve benches: the
+# disabled-telemetry probe budget (bench/telemetry_overhead), the >=5x
+# incremental-maintenance win (bench/dyn_maintenance), and the >=4x
+# multi-source fusion win (bench/plan_batch, perf_gated against the
+# committed perf/baselines/plan_batch.jsonl); and the benchmark's own
+# tests (perfbench/test_perfbench.py: both workloads at toy size, every
 # metric printed, a corrupted answer caught).
 #
 #   tools/ci.sh              # from the repo root
@@ -49,6 +43,20 @@ set -eu
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
+
+# Runs "$@" with its stdout in log file $1, prints the log, and returns
+# the command's own status.  Gates never pipe into tee or tail: under
+# set -e a pipeline's status is its last command's, so a failing gate
+# would pass.
+logged()
+{
+    log="$1"
+    shift
+    status=0
+    "$@" > "$log" || status=$?
+    cat "$log"
+    return "$status"
+}
 
 echo "== tier 0: every baseline perf/baselines/README.md names is in git =="
 for baseline in $(grep -o '`[A-Za-z0-9_.-]*\.jsonl`' perf/baselines/README.md \
@@ -170,12 +178,12 @@ mkdir -p "$SERVE_DIR"
 # The width distribution exercises the lane-budget scheduler: 70% of
 # requests run width-1, 30% ask for 4 lanes, and every answer must
 # still be served (identical payloads regardless of width).
-"$BUILD_DIR/tools/serve_bench" --scale 6 --requests 200 --distinct 32 \
+logged "$SERVE_DIR/closed.log" \
+    "$BUILD_DIR/tools/serve_bench" --scale 6 --requests 200 --distinct 32 \
     --workers 4 --clients 8 --seed 42 --width 1:0.7,4:0.3 \
     --csv "$SERVE_DIR/closed.csv" \
     --baseline-out "$SERVE_DIR/closed.jsonl" \
-    --metrics-out "$SERVE_DIR/closed_metrics.jsonl" \
-    | tee "$SERVE_DIR/closed.log"
+    --metrics-out "$SERVE_DIR/closed_metrics.jsonl"
 grep -q "failed=0" "$SERVE_DIR/closed.log"
 grep -q "mean lanes/request" "$SERVE_DIR/closed.log"
 if grep -q "cache:       0 hits" "$SERVE_DIR/closed.log"; then
@@ -187,10 +195,10 @@ test -s "$SERVE_DIR/closed.jsonl"
 # Open-loop overload: a 40 ms injected delay in serve.execute against a
 # 2-worker / 4-slot server at 400 req/s must exercise both protective
 # paths — deadline misses and queue shedding — and still exit 0.
-GM_FAULTS="serve.execute:1:9:delay=40" \
+logged "$SERVE_DIR/open.log" env GM_FAULTS="serve.execute:1:9:delay=40" \
     "$BUILD_DIR/tools/serve_bench" --scale 6 --requests 60 --distinct 60 \
     --workers 2 --queue 4 --open-loop --rate 400 --deadline-ms 100 \
-    --cache-mb 0 --seed 42 | tee "$SERVE_DIR/open.log"
+    --cache-mb 0 --seed 42
 if grep -q "deadline_exceeded=0 " "$SERVE_DIR/open.log"; then
     echo "serve_bench overload exercised no deadline misses" >&2
     exit 1
@@ -206,25 +214,38 @@ grep -q "failed=0" "$SERVE_DIR/open.log"
 # significant large-query improvement).
 BUILD_DIR="$BUILD_DIR" tools/serve_perf_check.sh
 
-echo "== tier 8: chaos smoke (pinned fault storm, availability SLO) =="
+echo "== tier 8: chaos storm (faults + write mix + plan mix, availability SLO) =="
 CHAOS_DIR="$BUILD_DIR/ci-chaos-smoke"
 rm -rf "$CHAOS_DIR"
 mkdir -p "$CHAOS_DIR"
-# A pinned storm — 20% serve.execute errors, 30% cache-insert drops, and
-# injected admission delays — against an allow_stale mixed-priority
-# workload with a 10 ms cache TTL.  The run must (a) keep storm-phase
-# availability at or above 99% (degraded answers count as available;
-# serve_bench exits 4 below the floor), (b) exercise the circuit
-# breakers through full open -> half-open -> closed cycles, and (c) log
-# those transitions into the metrics JSONL without breaking
-# profile_report.  The bench runs in the background with a live metrics
-# endpoint (--metrics-port 0) so gmtop can scrape it mid-storm: two
-# scrapes ~0.3 s apart must pass the structural format check and the
-# counter-monotonicity check, proving the endpoint answers while the
-# server is under fault load, not just at the edges.
-"$BUILD_DIR/tools/serve_bench" --chaos --scale 8 --kernels BFS \
+# One pinned storm — 20% serve.execute errors, 30% cache-insert drops,
+# and injected admission delays — against an allow_stale mixed-priority
+# workload with a 10 ms cache TTL, a 10% write mix (seeded mutation
+# batches land between queries: Server::mutate quiesces the lane budget,
+# applies the overlay delta, maintains CC/PR, compacts a fresh CSR
+# generation, and lets generation-tagged cache entries go stale) and a
+# 20% query-plan mix (seeded multi-kernel DAGs — fused BFS batches,
+# histogram / top-k aggregations, per-component reduces — through
+# Server::submit_plan).  The run must (a) keep storm-phase availability
+# at or above 99% even while the graph mutates under faults, with plan
+# failures counting against the SLO (degraded answers count as
+# available; serve_bench exits 4 below the floor, 3 on any plan
+# failure), (b) exercise the circuit breakers through full open ->
+# half-open -> closed cycles, and (c) leave breaker transitions,
+# serve.mutation and serve.plan records in the metrics JSONL that
+# profile_report tabulates without warnings.  The bench runs in the
+# background with a live metrics endpoint (--metrics-port 0) so gmtop
+# can scrape it mid-storm: the structural format check plus the
+# plan-accounting coherence invariants (completed/failed within
+# submitted, node outcomes within nodes_total, bounded inflight gauge),
+# two scrapes ~0.3 s apart that must pass the counter-monotonicity
+# check, and two samples of the gm_dyn_generation gauge ~0.4 s apart,
+# proving the endpoint answers while the server is under fault load,
+# not just at the edges.
+"$BUILD_DIR/tools/serve_bench" --chaos --scale 8 --kernels BFS,CC,PR \
     --distinct 6 --requests 800 --clients 4 --workers 2 \
-    --cache-ttl-ms 10 --think-ms 2 --seed 42 \
+    --cache-ttl-ms 10 --think-ms 2 --seed 42 --write-mix 0.1 \
+    --plan-mix 0.2 \
     --chaos-faults "serve.execute:0.2:9,serve.cache.insert:0.3:13,serve.admission:0.02:11:delay=5" \
     --min-availability 0.99 \
     --metrics-port 0 \
@@ -249,7 +270,8 @@ if [ -z "$METRICS_PORT" ]; then
     cat "$CHAOS_DIR/chaos.log" >&2
     exit 1
 fi
-"$BUILD_DIR/tools/gmtop" --port "$METRICS_PORT" --check
+logged "$CHAOS_DIR/check.log" \
+    "$BUILD_DIR/tools/gmtop" --port "$METRICS_PORT" --check
 "$BUILD_DIR/tools/gmtop" --port "$METRICS_PORT" --raw \
     > "$CHAOS_DIR/scrape1.txt"
 sleep 0.3
@@ -258,6 +280,20 @@ sleep 0.3
     --monotone-against "$CHAOS_DIR/scrape1.txt"
 SCRAPED_AVAIL="$("$BUILD_DIR/tools/gmtop" --port "$METRICS_PORT" \
     --get gm_slo_availability_lifetime)"
+# Two scrapes of the generation gauge ~0.4 s apart: a compaction can
+# only ever advance it, so the second sample must not be smaller.
+GEN1="$("$BUILD_DIR/tools/gmtop" --port "$METRICS_PORT" \
+    --get gm_dyn_generation)"
+sleep 0.4
+GEN2="$("$BUILD_DIR/tools/gmtop" --port "$METRICS_PORT" \
+    --get gm_dyn_generation)"
+awk -v a="$GEN1" -v b="$GEN2" 'BEGIN {
+    if (b + 0 < a + 0) {
+        printf "gm_dyn_generation went backwards: %s -> %s\n",
+               a, b > "/dev/stderr";
+        exit 1;
+    }
+}'
 if ! wait "$CHAOS_PID"; then
     echo "serve_bench chaos run failed" >&2
     cat "$CHAOS_DIR/chaos.log" >&2
@@ -297,9 +333,34 @@ awk -v a="$SCRAPED_AVAIL" -v b="$REPORTED_AVAIL" 'BEGIN {
         exit 1;
     }
 }'
-# The metrics stream (per-request records + breaker/slo side-records)
-# must still be consumable by the profile pipeline, and the --slo view
-# must tabulate the phase records, burn transitions, and snapshots.
+# The write mix must actually have mutated (applied= with a non-zero
+# count) and every batch must have succeeded.
+grep -q "mutations:   applied=" "$CHAOS_DIR/chaos.log"
+if grep -q "mutations:   applied=0 " "$CHAOS_DIR/chaos.log"; then
+    echo "write-mix run applied no mutations" >&2
+    exit 1
+fi
+grep -q " failed=0 inserted_arcs=" "$CHAOS_DIR/chaos.log"
+grep -q '"kind":"serve.mutation"' "$CHAOS_DIR/chaos_metrics.jsonl"
+# The plan mix must actually have submitted plans, all successfully,
+# and the fused batches must have collapsed sources into shared sweeps.
+grep -q "plans:       submitted=" "$CHAOS_DIR/chaos.log"
+if grep -q "plans:       submitted=0 " "$CHAOS_DIR/chaos.log"; then
+    echo "plan-mix run submitted no plans" >&2
+    exit 1
+fi
+grep -q "plans:       submitted=[0-9]* ok=[0-9]* failed=0 " \
+    "$CHAOS_DIR/chaos.log"
+if grep -q " sources_fused=0$" "$CHAOS_DIR/chaos.log"; then
+    echo "plan-mix run fused no multi-source batches" >&2
+    exit 1
+fi
+grep -q '"kind":"serve.plan"' "$CHAOS_DIR/chaos_metrics.jsonl"
+# The metrics stream (per-request records + breaker/slo/mutation/plan
+# side-records) must still be consumable by the profile pipeline, and
+# the --slo view must tabulate the phase records, burn transitions and
+# snapshots, and the mutation and plan records as MUTATIONS and PLANS
+# tables.
 "$BUILD_DIR/tools/profile_report" --metrics "$CHAOS_DIR/chaos_metrics.jsonl" \
     > /dev/null 2> "$CHAOS_DIR/report.err"
 if grep -q "skipping unreadable record" "$CHAOS_DIR/report.err"; then
@@ -312,179 +373,39 @@ cat "$CHAOS_DIR/slo.jsonl" "$CHAOS_DIR/chaos_metrics.jsonl" \
     > "$CHAOS_DIR/slo_report.txt"
 grep -q "storm" "$CHAOS_DIR/slo_report.txt"
 grep -q "BURN TRANSITIONS" "$CHAOS_DIR/slo_report.txt"
+"$BUILD_DIR/tools/profile_report" --slo "$CHAOS_DIR/chaos_metrics.jsonl" \
+    > "$CHAOS_DIR/metrics_report.txt"
+grep -q "MUTATIONS" "$CHAOS_DIR/metrics_report.txt"
+grep -q "PLANS" "$CHAOS_DIR/metrics_report.txt"
+
+echo "== tier 9: serve benches (telemetry probes, dyn maintenance, plan fusion) =="
+BENCH_DIR="$BUILD_DIR/ci-serve-benches"
+rm -rf "$BENCH_DIR"
+mkdir -p "$BENCH_DIR"
 # Telemetry must be free when off: the disabled-registry probe budget
 # (bench/telemetry_overhead exits non-zero above ~10 ns/op).
-"$BUILD_DIR/bench/telemetry_overhead" | tail -1
-
-echo "== tier 9: dynamic-graph smoke (chaos + write-mix, generation gauge) =="
-DYN_DIR="$BUILD_DIR/ci-dyn-smoke"
-rm -rf "$DYN_DIR"
-mkdir -p "$DYN_DIR"
-# The chaos storm re-runs with a 10% write mix: seeded mutation batches
-# land between queries (Server::mutate quiesces the lane budget, applies
-# the overlay delta, maintains CC/PR, compacts a fresh CSR generation,
-# and lets generation-tagged cache entries go stale).  The run must
-# (a) hold storm-phase availability at or above 99% even while the graph
-# mutates under faults (serve_bench exits 4 below the floor), (b) expose
-# a gm_dyn_generation gauge that only moves forward — scraped twice
-# mid-run — and (c) leave serve.mutation records in the metrics JSONL
-# that profile_report --slo tabulates without warnings.
-"$BUILD_DIR/tools/serve_bench" --chaos --scale 8 --kernels CC,PR \
-    --distinct 6 --requests 800 --clients 4 --workers 2 \
-    --cache-ttl-ms 10 --think-ms 2 --seed 42 --write-mix 0.1 \
-    --min-availability 0.99 \
-    --metrics-port 0 \
-    --metrics-out "$DYN_DIR/dyn_metrics.jsonl" \
-    > "$DYN_DIR/dyn.log" 2>&1 &
-DYN_PID=$!
-METRICS_PORT=""
-for _ in $(seq 1 100); do
-    METRICS_PORT="$(sed -n \
-        's/^metrics exposition on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-        "$DYN_DIR/dyn.log")"
-    [ -n "$METRICS_PORT" ] && break
-    sleep 0.05
-done
-if [ -z "$METRICS_PORT" ]; then
-    echo "serve_bench never announced a metrics port" >&2
-    wait "$DYN_PID" || true
-    cat "$DYN_DIR/dyn.log" >&2
-    exit 1
-fi
-# Two scrapes of the generation gauge ~0.4 s apart: a compaction can
-# only ever advance it, so the second sample must not be smaller.
-GEN1="$("$BUILD_DIR/tools/gmtop" --port "$METRICS_PORT" \
-    --get gm_dyn_generation)"
-sleep 0.4
-GEN2="$("$BUILD_DIR/tools/gmtop" --port "$METRICS_PORT" \
-    --get gm_dyn_generation)"
-awk -v a="$GEN1" -v b="$GEN2" 'BEGIN {
-    if (b + 0 < a + 0) {
-        printf "gm_dyn_generation went backwards: %s -> %s\n",
-               a, b > "/dev/stderr";
-        exit 1;
-    }
-}'
-if ! wait "$DYN_PID"; then
-    echo "serve_bench write-mix chaos run failed" >&2
-    cat "$DYN_DIR/dyn.log" >&2
-    exit 1
-fi
-cat "$DYN_DIR/dyn.log"
-grep -q "failed=0" "$DYN_DIR/dyn.log"
-# The write mix must actually have mutated (applied= with a non-zero
-# count) and every batch must have succeeded.
-grep -q "mutations:   applied=" "$DYN_DIR/dyn.log"
-if grep -q "mutations:   applied=0 " "$DYN_DIR/dyn.log"; then
-    echo "write-mix run applied no mutations" >&2
-    exit 1
-fi
-grep -q " failed=0 inserted_arcs=" "$DYN_DIR/dyn.log"
-# The finished run's generation must be ahead of (or equal to) the last
-# mid-run scrape, and mutation records must be in the stream.
-grep -q '"kind":"serve.mutation"' "$DYN_DIR/dyn_metrics.jsonl"
-"$BUILD_DIR/tools/profile_report" --slo "$DYN_DIR/dyn_metrics.jsonl" \
-    > "$DYN_DIR/dyn_report.txt"
-grep -q "MUTATIONS" "$DYN_DIR/dyn_report.txt"
-# The per-request records still feed the workload table cleanly.
-"$BUILD_DIR/tools/profile_report" --metrics "$DYN_DIR/dyn_metrics.jsonl" \
-    > /dev/null 2> "$DYN_DIR/report.err"
-if grep -q "skipping unreadable record" "$DYN_DIR/report.err"; then
-    echo "profile_report warned on serve.mutation records" >&2
-    exit 1
-fi
+logged "$BENCH_DIR/telemetry_overhead.log" \
+    "$BUILD_DIR/bench/telemetry_overhead"
 # Incremental maintenance must beat full recompute by >=5x on
 # CC/BFS/SSSP for small batches (<=0.1% of arcs), with every round
 # verified against the from-scratch result (exit 2 on divergence,
 # exit 4 below the speedup floor).  The committed reference baseline
 # lives in perf/baselines/dyn_maintenance.jsonl.
-"$BUILD_DIR/bench/dyn_maintenance" --out "$DYN_DIR/dyn_maintenance.jsonl" \
-    | tail -6
-
-echo "== tier 10: plan smoke (chaos + plan mix, fusion perf gate) =="
-PLAN_DIR="$BUILD_DIR/ci-plan-smoke"
-rm -rf "$PLAN_DIR"
-mkdir -p "$PLAN_DIR"
-# The chaos storm re-runs with a 20% query-plan mix on top of the 10%
-# write mix: seeded multi-kernel DAGs (fused BFS batches, histogram /
-# top-k aggregations, per-component reduces) flow through
-# Server::submit_plan between point queries and mutation batches.  The
-# run must (a) hold storm-phase availability at or above 99% with plan
-# failures counting against the SLO (serve_bench exits 4 below the
-# floor, 3 on any plan failure), (b) pass gmtop --check's gm_plan_*
-# accounting coherence on a mid-run scrape, and (c) leave serve.plan
-# records in the metrics JSONL that profile_report --slo tabulates as a
-# PLANS table without warnings.
-"$BUILD_DIR/tools/serve_bench" --chaos --scale 8 --kernels BFS,CC,PR \
-    --distinct 6 --requests 800 --clients 4 --workers 2 \
-    --cache-ttl-ms 10 --think-ms 2 --seed 42 --write-mix 0.1 \
-    --plan-mix 0.2 \
-    --min-availability 0.99 \
-    --metrics-port 0 \
-    --metrics-out "$PLAN_DIR/plan_metrics.jsonl" \
-    > "$PLAN_DIR/plan.log" 2>&1 &
-PLAN_PID=$!
-METRICS_PORT=""
-for _ in $(seq 1 100); do
-    METRICS_PORT="$(sed -n \
-        's/^metrics exposition on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-        "$PLAN_DIR/plan.log")"
-    [ -n "$METRICS_PORT" ] && break
-    sleep 0.05
-done
-if [ -z "$METRICS_PORT" ]; then
-    echo "serve_bench never announced a metrics port" >&2
-    wait "$PLAN_PID" || true
-    cat "$PLAN_DIR/plan.log" >&2
-    exit 1
-fi
-# Mid-run scrape: structural format check plus the plan-accounting
-# coherence invariants (completed/failed within submitted, node
-# outcomes within nodes_total, bounded inflight gauge).
-"$BUILD_DIR/tools/gmtop" --port "$METRICS_PORT" --check \
-    | tee "$PLAN_DIR/check.log"
-if ! wait "$PLAN_PID"; then
-    echo "serve_bench plan-mix chaos run failed" >&2
-    cat "$PLAN_DIR/plan.log" >&2
-    exit 1
-fi
-cat "$PLAN_DIR/plan.log"
-grep -q "failed=0" "$PLAN_DIR/plan.log"
-# The plan mix must actually have submitted plans, all successfully,
-# and the fused batches must have collapsed sources into shared sweeps.
-grep -q "plans:       submitted=" "$PLAN_DIR/plan.log"
-if grep -q "plans:       submitted=0 " "$PLAN_DIR/plan.log"; then
-    echo "plan-mix run submitted no plans" >&2
-    exit 1
-fi
-grep -q "plans:       submitted=[0-9]* ok=[0-9]* failed=0 " \
-    "$PLAN_DIR/plan.log"
-if grep -q " sources_fused=0$" "$PLAN_DIR/plan.log"; then
-    echo "plan-mix run fused no multi-source batches" >&2
-    exit 1
-fi
-# serve.plan records feed the SLO view's PLANS table cleanly.
-grep -q '"kind":"serve.plan"' "$PLAN_DIR/plan_metrics.jsonl"
-"$BUILD_DIR/tools/profile_report" --slo "$PLAN_DIR/plan_metrics.jsonl" \
-    > "$PLAN_DIR/plan_report.txt"
-grep -q "PLANS" "$PLAN_DIR/plan_report.txt"
-"$BUILD_DIR/tools/profile_report" --metrics "$PLAN_DIR/plan_metrics.jsonl" \
-    > /dev/null 2> "$PLAN_DIR/report.err"
-if grep -q "skipping unreadable record" "$PLAN_DIR/report.err"; then
-    echo "profile_report warned on serve.plan records" >&2
-    exit 1
-fi
+logged "$BENCH_DIR/dyn_maintenance.log" \
+    "$BUILD_DIR/bench/dyn_maintenance" \
+    --out "$BENCH_DIR/dyn_maintenance.jsonl"
 # The headline fusion win: a 64-source fused BFS batch must beat 64
 # sequential single-source plans by >=4x through the same executor,
 # with every fused slice verified bit-identical (exit 2 on divergence,
 # exit 4 below the floor), and the fresh timings must show no
 # regression against the committed reference baseline.
-"$BUILD_DIR/bench/plan_batch" --out "$PLAN_DIR/plan_batch.jsonl" | tail -5
+logged "$BENCH_DIR/plan_batch.log" \
+    "$BUILD_DIR/bench/plan_batch" --out "$BENCH_DIR/plan_batch.jsonl"
 "$BUILD_DIR/tools/perf_gate" --ref perf/baselines/plan_batch.jsonl \
-    --cand "$PLAN_DIR/plan_batch.jsonl" \
-    --report-out "$PLAN_DIR/plan_batch.report.jsonl"
+    --cand "$BENCH_DIR/plan_batch.jsonl" \
+    --report-out "$BENCH_DIR/plan_batch.report.jsonl"
 
-echo "== tier 11: benchmark tests (perfbench at toy size) =="
+echo "== tier 10: benchmark tests (perfbench at toy size) =="
 # The repository benchmark's own tests: both workloads at scale 8 for 6 s
 # per run, untraced and traced, through perfbench/run.py (which builds
 # its own copy of the program under .bench_build/).  It is the one

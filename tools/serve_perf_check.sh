@@ -36,23 +36,36 @@ OUT_DIR="$BUILD_DIR/ci-serve-perf"
 rm -rf "$OUT_DIR"
 mkdir -p "$OUT_DIR"
 
+# Runs "$@" with its stdout in log file $1, prints the log, and returns
+# the command's own status (piped into tee, a failure would read as
+# tee's success).
+logged()
+{
+    log="$1"
+    shift
+    status=0
+    "$@" > "$log" || status=$?
+    cat "$log"
+    return "$status"
+}
+
 BENCH_ARGS="--scale 12 --requests 240 --distinct 12 --workers 2 \
     --clients 4 --seed 7 --cache-mb 0 --kernels PR,SSSP"
 
 echo "== serve perf: record width-1 (SerialRegion-equivalent) baseline =="
 # shellcheck disable=SC2086  # BENCH_ARGS is a flat flag list
-"$BUILD_DIR/tools/serve_bench" $BENCH_ARGS --width 1:1.0 \
-    --baseline-out "$OUT_DIR/serial.jsonl" | tee "$OUT_DIR/serial.log"
+logged "$OUT_DIR/serial.log" "$BUILD_DIR/tools/serve_bench" $BENCH_ARGS \
+    --width 1:1.0 --baseline-out "$OUT_DIR/serial.jsonl"
 
 echo "== serve perf: record width-8 (lane-leased) baseline =="
 # shellcheck disable=SC2086
-"$BUILD_DIR/tools/serve_bench" $BENCH_ARGS --width 8:1.0 \
-    --baseline-out "$OUT_DIR/parallel.jsonl" | tee "$OUT_DIR/parallel.log"
+logged "$OUT_DIR/parallel.log" "$BUILD_DIR/tools/serve_bench" $BENCH_ARGS \
+    --width 8:1.0 --baseline-out "$OUT_DIR/parallel.jsonl"
 
 echo "== serve perf: gate parallel vs serial (no regression allowed) =="
-"$BUILD_DIR/tools/perf_gate" --ref "$OUT_DIR/serial.jsonl" \
-    --cand "$OUT_DIR/parallel.jsonl" \
-    --report-out "$OUT_DIR/report.jsonl" | tee "$OUT_DIR/gate.log"
+logged "$OUT_DIR/gate.log" "$BUILD_DIR/tools/perf_gate" \
+    --ref "$OUT_DIR/serial.jsonl" --cand "$OUT_DIR/parallel.jsonl" \
+    --report-out "$OUT_DIR/report.jsonl"
 
 CORES="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)"
 if [ "$CORES" -ge 4 ]; then
