@@ -40,6 +40,7 @@
 #include "gm/dyn/incremental.hh"
 #include "gm/dyn/overlay.hh"
 #include "gm/graph/generators.hh"
+#include "gm/par/parallel_for.hh"
 #include "gm/perf/baseline.hh"
 #include "gm/store/graph_store.hh"
 #include "gm/support/fingerprint.hh"
@@ -151,6 +152,8 @@ main(int argc, char** argv)
         return 1;
     }
 
+    // Every case below runs on this one lease of every lane.
+    gm::par::LaneLease lease(gm::par::num_threads());
     auto store = std::make_shared<gm::store::GraphStore>(
         gm::graph::make_uniform(scale, degree, kGraphSeed), kWeightSeed);
     gm::dyn::DynamicGraph dg(store);

@@ -45,6 +45,7 @@ run_kernel(benchmark::State& state, std::size_t fw_index,
     const harness::Mode mode = harness::Mode::kBaseline;
     const std::vector<vid_t> bc_sources(ds.sources.begin(),
                                         ds.sources.begin() + 4);
+    par::LaneLease lease(par::num_threads());
     for (auto _ : state) {
         switch (kernel) {
           case harness::Kernel::kBFS:

@@ -24,6 +24,7 @@
 #include "gm/gapref/kernels.hh"
 #include "gm/graph/generators.hh"
 #include "gm/obs/trace.hh"
+#include "gm/par/parallel_for.hh"
 #include "gm/support/env.hh"
 #include "gm/support/timer.hh"
 
@@ -102,7 +103,9 @@ main()
         session.stop();
     }
 
-    // Context: one instrumented kernel end to end, both ways.
+    // Context: one instrumented kernel end to end, both ways, on one lease
+    // of every lane.
+    par::LaneLease lease(par::num_threads());
     const graph::CSRGraph g = graph::make_kronecker(scale, 16, 7);
     const auto run_bfs = [&] {
         const auto parent = gapref::bfs(g, 0);

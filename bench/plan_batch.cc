@@ -42,6 +42,7 @@
 #include "gm/graph/generators.hh"
 #include "gm/harness/dataset.hh"
 #include "gm/harness/framework.hh"
+#include "gm/par/parallel_for.hh"
 #include "gm/perf/baseline.hh"
 #include "gm/plan/execute.hh"
 #include "gm/plan/plan.hh"
@@ -112,6 +113,8 @@ main(int argc, char** argv)
         return 1;
     }
 
+    // Every case below runs on this one lease of every lane.
+    gm::par::LaneLease lease(gm::par::num_threads());
     const gm::harness::Dataset ds = gm::harness::make_dataset(
         "uniform", gm::graph::make_uniform(scale, degree, kSeed),
         num_sources, kSeed);

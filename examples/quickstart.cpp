@@ -15,11 +15,15 @@
 #include "gm/graph/generators.hh"
 #include "gm/graph/io.hh"
 #include "gm/graph/stats.hh"
+#include "gm/par/parallel_for.hh"
 
 int
 main(int argc, char** argv)
 {
     using namespace gm;
+    // Parallel primitives run on the lanes of a held lease; without one
+    // they run serially on this thread.
+    par::LaneLease lease(par::num_threads());
 
     // 1. Get a graph: from a file, or generate a small power-law one.
     graph::CSRGraph g;

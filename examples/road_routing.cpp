@@ -17,12 +17,14 @@
 #include "gm/graph/builder.hh"
 #include "gm/graph/generators.hh"
 #include "gm/graph/stats.hh"
+#include "gm/par/parallel_for.hh"
 #include "gm/support/timer.hh"
 
 int
 main()
 {
     using namespace gm;
+    par::LaneLease lease(par::num_threads());
 
     const vid_t rows = 160;
     const vid_t cols = 160;

@@ -23,11 +23,13 @@
 #include "gm/graph/generators.hh"
 #include "gm/graphitlite/kernels.hh"
 #include "gm/grb/lagraph.hh"
+#include "gm/par/parallel_for.hh"
 
 int
 main()
 {
     using namespace gm;
+    par::LaneLease lease(par::num_threads());
 
     const graph::CSRGraph follows =
         graph::make_twitter_like(/*scale=*/13, /*degree=*/16, /*seed=*/99);

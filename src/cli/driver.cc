@@ -2,6 +2,7 @@
 
 #include <iomanip>
 #include <iostream>
+#include <memory>
 
 #include "gm/gapref/verify.hh"
 #include "gm/graph/builder.hh"
@@ -9,6 +10,7 @@
 #include "gm/graph/io.hh"
 #include "gm/harness/runner.hh"
 #include "gm/obs/metrics.hh"
+#include "gm/par/parallel_for.hh"
 #include "gm/support/fingerprint.hh"
 #include "gm/support/status.hh"
 #include "gm/support/timer.hh"
@@ -108,6 +110,9 @@ run_kernel(harness::Kernel kernel, const Options& opts)
 {
     Timer timer;
     timer.start();
+    // The input is built on one lease of every lane, released before the
+    // trials lease their own.
+    auto build_lease = std::make_unique<par::LaneLease>(par::num_threads());
     auto built = build_input_graph(opts);
     if (!built.is_ok()) {
         std::cerr << "cannot build input graph: "
@@ -132,6 +137,7 @@ run_kernel(harness::Kernel kernel, const Options& opts)
     }
     harness::Dataset ds = *std::move(made);
     ds.delta = opts.delta;
+    build_lease.reset();
     timer.stop();
     std::cout << "Graph: " << ds.g().num_vertices() << " vertices, "
               << ds.g().num_edges_directed() << " (directed) edges, built in "

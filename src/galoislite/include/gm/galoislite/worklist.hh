@@ -29,12 +29,16 @@ namespace gm::galoislite
 {
 
 /** Per-lane insertion bag (Galois InsertBag): unordered concurrent append,
- *  then a bulk snapshot. */
+ *  then a bulk snapshot.  Sized for the lanes of the lease it is built
+ *  under, so build it where it is used. */
 template <typename T>
 class InsertBag
 {
   public:
-    InsertBag() : lanes_(static_cast<std::size_t>(par::num_threads())) {}
+    InsertBag()
+        : lanes_(static_cast<std::size_t>(par::ThreadPool::current_width()))
+    {
+    }
 
     /** Append from lane @p lane (no locking; lanes are disjoint). */
     void
@@ -162,13 +166,11 @@ for_each_async(std::vector<T> initial, Op op, std::size_t chunk_size = 64)
     }
 
     par::parallel_lanes([&](int, int lanes) {
-        // Idle-termination counts against the lane count of *this* region
-        // (the parallel_lanes callback argument) — a pre-fork prediction
-        // could exceed the lanes an ephemeral lease was actually granted
-        // and the executor would wait for arrivals that never come.
-        // Per-lane workload tallies, flushed into the trace session (if
-        // any) when the lane exits — including the early-return abort
-        // paths, hence the RAII guard.
+        // Idle-termination counts against the lane count of this region
+        // (the parallel_lanes callback argument).  Per-lane workload
+        // tallies, flushed into the trace session (if any) when the lane
+        // exits — including the early-return abort paths, hence the RAII
+        // guard.
         struct Tally
         {
             std::uint64_t pushes = 0;

@@ -45,7 +45,7 @@ fused_sweep(const CSRGraph& g, const std::vector<vid_t>& sources,
 
     const auto& offsets = g.out_offsets();
     const auto& dests = g.out_destinations();
-    const int max_lanes = par::num_threads();
+    const int max_lanes = par::ThreadPool::current_width();
 
     std::vector<vid_t> next_frontier;
     std::vector<std::vector<vid_t>> locals(

@@ -372,7 +372,9 @@ bc(const GrbGraph& gg, const std::vector<vid_t>& sources)
                         for (std::size_t c = 0; c < ns; ++c) {
                             const std::size_t ui =
                                 static_cast<std::size_t>(u) * ns + c;
-                            if (lev[ui] != d)
+                            // Another lane may be claiming this cell for
+                            // level d + 1 (CAS below), so read it atomically.
+                            if (par::atomic_load(lev[ui]) != d)
                                 continue;
                             const std::size_t vi =
                                 static_cast<std::size_t>(v) * ns + c;

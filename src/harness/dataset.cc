@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "gm/graph/generators.hh"
+#include "gm/par/parallel_for.hh"
 #include "gm/support/log.hh"
 #include "gm/support/rng.hh"
 
@@ -69,6 +70,8 @@ DatasetSuite
 make_gap_suite(int scale, int num_sources, std::uint64_t seed)
 {
     GM_ASSERT(scale >= 6 && scale <= 24, "suite scale out of range");
+    // Generators fork on this lease, or on the caller's if it holds one.
+    par::LaneLease lease(par::num_threads());
     DatasetSuite suite;
     const int degree = 16;
 

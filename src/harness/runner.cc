@@ -14,6 +14,7 @@
 #include "gm/harness/checkpoint.hh"
 #include "gm/obs/chrome_trace.hh"
 #include "gm/obs/trace.hh"
+#include "gm/par/parallel_for.hh"
 #include "gm/support/fault_injector.hh"
 #include "gm/support/log.hh"
 #include "gm/support/timer.hh"
@@ -106,12 +107,16 @@ timed_faults(const Dataset& ds, const Framework& fw, Kernel kernel)
 
 /**
  * One attempt of one trial: kernel (timed) + optional verification, run
- * inline on the calling thread.  Exceptions escape to the watchdog.
+ * inline on the calling thread under one lease of every pool lane (or the
+ * caller's own lease, which it adopts).  Exceptions escape to the
+ * watchdog.
  */
 void
 run_trial_attempt(const Dataset& ds, const Framework& fw, Kernel kernel,
                   Mode mode, int trial, bool check, TrialOutput& out)
 {
+    par::LaneLease lease(par::num_threads());
+
     // Fault-injection sites: all kernels, and per-framework targeting.
     auto& injector = support::FaultInjector::global();
     injector.at("kernel");

@@ -335,7 +335,7 @@ triangle_count(const adjacency& g)
     }
     const graph::CSRGraph& h = *use;
     std::vector<std::uint64_t> lane_counts(
-        static_cast<std::size_t>(par::num_threads()), 0);
+        static_cast<std::size_t>(par::ThreadPool::current_width()), 0);
     par::parallel_lanes([&](int lane, int lanes) {
         std::uint64_t local = 0;
         // Cyclic row distribution: lane t takes rows t, t+N, t+2N, ...

@@ -11,11 +11,9 @@
  *    on a generation word.  Right for the short inner rounds of iterative
  *    kernels where a futex sleep/wake costs more than the phase itself.
  *
- * Sizing rule under lane leases: construct the barrier from the width of a
- * LaneLease you hold (or the lane_count argument parallel_lanes passes to
- * its callback) — NOT from a lane count predicted before forking.  An
- * ephemeral lease may be granted fewer lanes than effective_lanes()
- * reported, and a barrier sized for more parties than arrive deadlocks.
+ * Size a barrier by ThreadPool::current_width() (or the lane count that
+ * parallel_lanes passes to its callback): that is exactly the number of
+ * lanes the next region runs.
  */
 #pragma once
 
@@ -24,8 +22,6 @@
 #include <cstdint>
 #include <mutex>
 #include <thread>
-
-#include "gm/par/thread_pool.hh"
 
 namespace gm::par
 {
@@ -103,18 +99,5 @@ class SpinBarrier
     std::atomic<int> arrived_{0};
     std::atomic<std::uint64_t> generation_{0};
 };
-
-/**
- * Lane count an SPMD region entered right now would get — an upper bound
- * when no lease is held (see ThreadPool::current_width()).  Use only for
- * capacity hints (per-lane buffer reservations); for barrier parties or
- * anything that must match the lanes actually running, hold a LaneLease
- * and use its width().
- */
-inline int
-effective_lanes()
-{
-    return ThreadPool::current_width();
-}
 
 } // namespace gm::par

@@ -9,9 +9,9 @@
  *  - kCyclic:  lane t handles iterations t, t+N, t+2N, ... — the NWGraph
  *              paper-described distribution for triangle counting.
  *
- * All primitives execute on the calling thread's LaneLease (taking an
- * ephemeral lease when none is active), so concurrent callers holding
- * disjoint leases run in parallel.
+ * All primitives execute on the calling thread's LaneLease, so concurrent
+ * callers holding disjoint leases run in parallel.  Without a lease, or
+ * inside a pool lane, they run on the calling thread at width 1.
  *
  * parallel_reduce is deterministic by construction: iterations are
  * partitioned on a fixed chunk grid derived from the iteration count
@@ -79,8 +79,6 @@ parallel_for(Index begin, Index end, Fn&& fn,
     const auto run_serial = [&] {
         // Nested (in-lane) calls must not throw across the pool boundary;
         // they bail out silently and the outermost serial level throws.
-        // A SerialRegion is not a pool boundary: it throws like any
-        // outermost serial loop so cancelled requests unwind.
         const bool nested = ThreadPool::in_parallel_region();
         std::uint64_t polls = 0;
         for (Index i = begin; i < end; ++i) {
@@ -94,17 +92,12 @@ parallel_for(Index begin, Index end, Fn&& fn,
         }
     };
 
-    if (n == 1 || ThreadPool::current_width() == 1) {
+    const int lanes = ThreadPool::current_width();
+    if (n == 1 || lanes == 1) {
         run_serial();
         return;
     }
     ThreadPool& pool = ThreadPool::instance();
-    LaneLease lease(pool.num_threads());
-    const int lanes = lease.width();
-    if (lanes == 1) {
-        run_serial();
-        return;
-    }
 
     if (sched == Schedule::kStatic) {
         pool.run([&](int lane) {
@@ -168,22 +161,15 @@ parallel_blocks(Index begin, Index end, Fn&& fn)
 {
     if (begin >= end)
         return;
-    if (ThreadPool::current_width() == 1) {
+    const int lanes = ThreadPool::current_width();
+    if (lanes == 1) {
         fn(0, begin, end);
         if (!ThreadPool::in_parallel_region())
             support::check_cancelled();
         return;
     }
-    ThreadPool& pool = ThreadPool::instance();
-    LaneLease lease(pool.num_threads());
-    const int lanes = lease.width();
-    if (lanes == 1) {
-        fn(0, begin, end);
-        support::check_cancelled();
-        return;
-    }
     const Index n = end - begin;
-    pool.run([&](int lane) {
+    ThreadPool::instance().run([&](int lane) {
         const Index block = (n + lanes - 1) / lanes;
         const Index lo = begin + block * lane;
         const Index hi = lo + block < end ? lo + block : end;
@@ -196,24 +182,20 @@ parallel_blocks(Index begin, Index end, Fn&& fn)
 /**
  * Run @p fn once per lane with (lane, lane_count); fn pulls its own work.
  *
- * The lane count passed to @p fn is exactly the number of lanes running
- * the region.  Callers that size shared state (or a Barrier) before
- * entering must hold their own LaneLease and use its width() — an
- * ephemeral acquisition here could be granted fewer lanes than
- * ThreadPool::current_width() predicted.
+ * The lane count passed to @p fn is ThreadPool::current_width(), so
+ * shared state (or a Barrier) sized by it before entering matches the
+ * lanes that run.
  */
 template <typename Fn>
 void
 parallel_lanes(Fn&& fn)
 {
-    if (ThreadPool::current_width() == 1) {
+    const int lanes = ThreadPool::current_width();
+    if (lanes == 1) {
         fn(0, 1);
         return;
     }
-    ThreadPool& pool = ThreadPool::instance();
-    LaneLease lease(pool.num_threads());
-    const int lanes = lease.width();
-    pool.run([&](int lane) { fn(lane, lanes); });
+    ThreadPool::instance().run([&](int lane) { fn(lane, lanes); });
 }
 
 /**
@@ -272,14 +254,10 @@ parallel_reduce(Index begin, Index end, T identity, Map&& map,
 
     if (num_chunks == 1 || ThreadPool::current_width() == 1)
         return run_serial();
-    ThreadPool& pool = ThreadPool::instance();
-    LaneLease lease(pool.num_threads());
-    if (lease.width() == 1)
-        return run_serial();
 
     std::vector<T> partial(num_chunks, identity);
     std::atomic<std::size_t> cursor{0};
-    pool.run([&](int) {
+    ThreadPool::instance().run([&](int) {
         for (;;) {
             if (support::cancel_requested())
                 return;

@@ -8,15 +8,15 @@
  * paper's "same hardware for every framework" control.
  *
  * Model: the pool owns N-1 worker threads ("lanes" 1..N-1; the submitting
- * thread is always lane 0).  Work is executed under a LaneLease — an RAII
- * grant of K disjoint lanes.  A thread holding a lease forks jobs onto
- * exactly its leased lanes, so two threads holding disjoint leases run
- * genuinely in parallel instead of serializing on a global job slot; this
- * is what lets gm::serve execute several multi-lane requests at once.
- * Threads without a lease get an ephemeral one per fork (best-effort over
- * the currently free workers).  Nested run() calls from inside a lane
- * degrade to serial execution on that lane, which keeps composed
- * algorithms correct.
+ * thread is always lane 0).  Lanes come only from a LaneLease — an RAII
+ * grant of K disjoint lanes, held by the thread where a unit of work
+ * starts (a suite trial, a served request, a bench case).  A thread
+ * holding a lease forks jobs onto exactly its leased lanes, so two threads
+ * holding disjoint leases run genuinely in parallel instead of
+ * serializing on a global job slot; this is what lets gm::serve execute
+ * several multi-lane requests at once.  A thread without a lease, or a
+ * thread already inside a pool lane, runs every parallel primitive on
+ * itself at width 1, which keeps composed algorithms correct.
  *
  * Determinism contract: nothing above this layer may depend on how many
  * lanes a lease actually granted.  parallel_reduce partitions work on a
@@ -88,15 +88,15 @@ struct LeaseState
 class ThreadPool
 {
   public:
-    /** @param num_threads Lane count; 0 means hardware_concurrency. */
-    explicit ThreadPool(int num_threads = 0);
+    /** @param num_threads Lane count (at least 1). */
+    explicit ThreadPool(int num_threads);
 
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    /** Process-wide pool; size taken from GM_THREADS or the hardware. */
+    /** Process-wide pool of pool_lanes() lanes. */
     static ThreadPool& instance();
 
     /** Number of lanes (including the caller's lane). */
@@ -106,35 +106,26 @@ class ThreadPool
      * Run @p job on the calling thread's lanes and wait for completion.
      *
      * @param job Non-owning callable receiving the lane id in [0, width).
-     * @return The width actually used (every lane id passed was < it).
+     * @return The width used: current_width() at the call.
      *
-     * Under an active LaneLease the job runs on exactly the leased lanes;
-     * without one an ephemeral lease over the currently free workers is
-     * taken for the duration of the call.  A call made while the caller
-     * is already inside a pool job, or while a SerialRegion is active on
-     * the calling thread, degrades to serial execution on that thread.
+     * Under a LaneLease the job runs on exactly the leased lanes.  Without
+     * one, or from inside a pool job, it runs once on the calling thread
+     * as lane 0.
      */
     int run(FunctionRef<void(int)> job);
 
     /** True when the calling thread is currently inside a pool job. */
     static bool in_parallel_region();
 
-    /** True when a SerialRegion is active on the calling thread. */
-    static bool in_serial_region();
-
     /**
-     * Width a run() from this thread would use right now: 1 inside a
-     * lane or a SerialRegion, the lease width under a LaneLease, and the
-     * full lane count otherwise (an upper bound there — an ephemeral
-     * lease may be granted fewer if other leases hold workers; SPMD
-     * kernels that size shared state by lane count must hold their own
-     * LaneLease and use its width()).
+     * Width the next run() from this thread will use: the lease width
+     * under a LaneLease, and 1 inside a lane or without a lease.  Per-lane
+     * state sized by it matches the lanes that run.
      */
     static int current_width();
 
   private:
     friend class LaneLease;
-    friend class SerialRegion;
 
     void worker_loop(int slot);
     /** Run jobs for @p state on lease lane @p lane until released. */
@@ -170,9 +161,9 @@ class ThreadPool
  * (at least 1 — the owner always has its own lane).  Results never depend
  * on the granted width (see the determinism contract above), only speed
  * does.  Constructing a lease while one is already active on the thread
- * (or inside a pool lane / SerialRegion) adopts the enclosing context
- * instead of acquiring: width() reports the enclosing width and
- * destruction releases nothing.
+ * (or inside a pool lane) adopts the enclosing context instead of
+ * acquiring: width() reports the enclosing width and destruction
+ * releases nothing.
  */
 class LaneLease
 {
@@ -195,30 +186,6 @@ class LaneLease
     detail::LeaseState state_;
     int width_ = 1;
     bool adopted_ = false;
-};
-
-/**
- * RAII: while alive on the constructing thread, every parallel primitive
- * (ThreadPool::run, parallel_for, parallel_reduce, ...) degrades to serial
- * execution on that thread instead of forking onto the shared pool.
- *
- * Unlike the implicit nested-run degrade, cancellation inside a serial
- * region still *throws* CancelledError at the outermost level — the region
- * marks "this thread is one lane of some higher-level concurrency", not
- * "we are inside a pool job whose boundary exceptions must not cross".
- * Regions nest; the thread returns to normal forking behaviour when the
- * outermost region is destroyed.  (gm::serve used to pin every request
- * under one of these; requests now take a LaneLease of their declared
- * width instead, and a width-1 lease is the exact serial equivalent.)
- */
-class SerialRegion
-{
-  public:
-    SerialRegion();
-    ~SerialRegion();
-
-    SerialRegion(const SerialRegion&) = delete;
-    SerialRegion& operator=(const SerialRegion&) = delete;
 };
 
 } // namespace gm::par

@@ -18,7 +18,6 @@ namespace
 {
 
 thread_local bool tls_in_parallel = false;
-thread_local int tls_serial_region = 0;
 thread_local LaneLease* tls_lease = nullptr;
 
 /**
@@ -68,11 +67,7 @@ pin_to_cpu(int cpu)
 
 ThreadPool::ThreadPool(int num_threads)
 {
-    if (num_threads <= 0) {
-        unsigned hw = std::thread::hardware_concurrency();
-        num_threads = hw == 0 ? 1 : static_cast<int>(hw);
-    }
-    num_threads_ = num_threads;
+    num_threads_ = num_threads < 1 ? 1 : num_threads;
     pin_threads_ = env_int("GM_PIN_THREADS", 0) != 0;
     const int worker_count = num_threads_ - 1;
     assignment_.assign(static_cast<std::size_t>(worker_count), nullptr);
@@ -108,7 +103,7 @@ ThreadPool::~ThreadPool()
 ThreadPool&
 ThreadPool::instance()
 {
-    static ThreadPool pool(static_cast<int>(env_int("GM_THREADS", 0)));
+    static ThreadPool pool(pool_lanes());
     return pool;
 }
 
@@ -118,30 +113,12 @@ ThreadPool::in_parallel_region()
     return tls_in_parallel;
 }
 
-bool
-ThreadPool::in_serial_region()
-{
-    return tls_serial_region > 0;
-}
-
 int
 ThreadPool::current_width()
 {
-    if (tls_in_parallel || tls_serial_region > 0)
+    if (tls_in_parallel || tls_lease == nullptr)
         return 1;
-    if (tls_lease != nullptr)
-        return tls_lease->width();
-    return instance().num_threads();
-}
-
-SerialRegion::SerialRegion()
-{
-    ++tls_serial_region;
-}
-
-SerialRegion::~SerialRegion()
-{
-    --tls_serial_region;
+    return tls_lease->width();
 }
 
 LaneLease*
@@ -152,9 +129,9 @@ LaneLease::current()
 
 LaneLease::LaneLease(int width)
 {
-    // Inside a lane, a SerialRegion, or an enclosing lease: adopt the
-    // context instead of acquiring (run() consults the innermost owner).
-    if (tls_in_parallel || tls_serial_region > 0) {
+    // Inside a lane or an enclosing lease: adopt the context instead of
+    // acquiring (run() consults the innermost owner).
+    if (tls_in_parallel) {
         adopted_ = true;
         width_ = 1;
         return;
@@ -223,23 +200,14 @@ ThreadPool::acquire_workers(int want, detail::LeaseState* state)
 int
 ThreadPool::run(FunctionRef<void(int)> job)
 {
-    if (tls_in_parallel || tls_serial_region > 0) {
-        // Nested parallelism (or an explicit serial region) degrades to
-        // serial execution on this thread; its time is already inside the
-        // outer lane's busy span / the request's execute span.
+    if (tls_in_parallel) {
+        // Nested parallelism degrades to serial execution on this thread;
+        // its time is already inside the outer lane's busy span.
         job(0);
         return 1;
     }
-    if (tls_lease == nullptr) {
-        // Ephemeral lease over whatever is free right now; released when
-        // this fork joins.  Long-lived lease holders (serve requests)
-        // amortize this acquisition over many forks.
-        LaneLease ephemeral(num_threads_);
-        return run(job);
-    }
-    detail::LeaseState& state = tls_lease->state_;
     const std::uint64_t job_gen = obs::current_session_gen();
-    const int width = tls_lease->width();
+    const int width = current_width();
     if (job_gen != 0)
         obs::counter_max("par.lanes", static_cast<std::uint64_t>(width));
     if (width == 1) {
@@ -254,6 +222,7 @@ ThreadPool::run(FunctionRef<void(int)> job)
         return 1;
     }
 
+    detail::LeaseState& state = tls_lease->state_;
     {
         std::lock_guard<std::mutex> lock(state.mu);
         state.job = job;

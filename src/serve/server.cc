@@ -543,6 +543,9 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
     std::uint64_t generation_peak = 0;
     double overlay_bytes = 0;
     {
+        // The maintainers and the compaction fork on the lanes the
+        // budget just reserved.
+        par::LaneLease lease(lane_budget_);
         std::lock_guard<std::mutex> lock(dyn_mu_);
         // mutate_seconds leaves out the quiesce above: it times only
         // what runs while both are held.

@@ -1,6 +1,7 @@
 #include "gm/support/env.hh"
 
 #include <cstdlib>
+#include <thread>
 
 namespace gm
 {
@@ -33,6 +34,16 @@ env_bool(const char* name, bool fallback)
         return fallback;
     std::string s(env);
     return s == "1" || s == "true" || s == "yes" || s == "on";
+}
+
+int
+pool_lanes()
+{
+    const std::int64_t env = env_int("GM_THREADS", 0);
+    if (env > 0)
+        return static_cast<int>(env);
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
 } // namespace gm

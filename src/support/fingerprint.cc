@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 #include <unistd.h>
 
@@ -62,7 +61,7 @@ collect_fingerprint()
     if (const std::string san = GM_SANITIZE_NAME; !san.empty())
         fp.build += "+" + san;
     fp.hostname = host_name();
-    fp.threads = static_cast<int>(std::thread::hardware_concurrency());
+    fp.threads = pool_lanes();
     return fp;
 }
 

@@ -20,4 +20,11 @@ std::string env_string(const char* name, const std::string& fallback);
 /** Return boolean env var @p name ("1"/"true"/"yes"), or @p fallback. */
 bool env_bool(const char* name, bool fallback);
 
+/**
+ * Lane count of the process-wide par::ThreadPool: GM_THREADS when
+ * positive, otherwise the hardware concurrency (at least 1).  The pool
+ * and the environment fingerprint both read it, so they always agree.
+ */
+int pool_lanes();
+
 } // namespace gm

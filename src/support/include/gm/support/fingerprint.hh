@@ -30,7 +30,7 @@ struct EnvFingerprint
     std::string compiler;   ///< e.g. "gcc 13.2.0"
     std::string build;      ///< build type + sanitizer, e.g. "Release"
     std::string hostname;   ///< gethostname(), "unknown" when unavailable
-    int threads = 0;        ///< hardware concurrency at collection time
+    int threads = 0;        ///< lanes of the process-wide pool
     std::string scales;     ///< caller-set workload note, e.g. "scale=16"
 
     bool

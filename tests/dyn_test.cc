@@ -22,7 +22,7 @@
 #include "gm/dyn/overlay.hh"
 #include "gm/graph/builder.hh"
 #include "gm/graph/generators.hh"
-#include "gm/par/thread_pool.hh"
+#include "gm/par/parallel_for.hh"
 #include "gm/support/hash.hh"
 #include "gm/support/rng.hh"
 
@@ -128,6 +128,7 @@ make_store(graph::CSRGraph g, std::uint64_t weight_seed = 42)
 
 TEST(DynOverlay, InsertDeleteDedupeSemantics)
 {
+    par::LaneLease lease(par::num_threads());
     // Path 0-1-2 plus edge 2-3, undirected.
     graph::EdgeList edges{{0, 1}, {1, 2}, {2, 3}};
     auto store = make_store(graph::build_graph(edges, 4, false));
@@ -174,6 +175,7 @@ TEST(DynOverlay, InsertDeleteDedupeSemantics)
 
 TEST(DynOverlay, OutOfRangeEndpointRejectsWholeBatch)
 {
+    par::LaneLease lease(par::num_threads());
     auto store = make_store(graph::build_graph({{0, 1}}, 2, false));
     DynamicGraph dg(store);
     MutationBatch batch;
@@ -186,6 +188,7 @@ TEST(DynOverlay, OutOfRangeEndpointRejectsWholeBatch)
 
 TEST(DynOverlay, CompactIsNoopWhenClean)
 {
+    par::LaneLease lease(par::num_threads());
     auto store = make_store(graph::make_uniform(8, 4, 1));
     DynamicGraph dg(store);
     EXPECT_EQ(dg.compact(), 0u);
@@ -210,6 +213,7 @@ topologies()
 
 TEST(DynOracle, RandomInterleavingsMatchRebuildFromScratch)
 {
+    par::LaneLease lease(par::num_threads());
     for (auto& topo : topologies()) {
         const vid_t n = topo.graph.num_vertices();
         ShadowEdges shadow(topo.graph);
@@ -284,6 +288,7 @@ TEST(DynDeterminism, CompactionAndMaintenanceAreWidthInvariant)
 
 TEST(DynIncremental, InsertOnlyRepairMatchesFullRecomputeBitwise)
 {
+    par::LaneLease lease(par::num_threads());
     for (auto& topo : topologies()) {
         const vid_t n = topo.graph.num_vertices();
         auto store = make_store(topo.graph);
@@ -323,6 +328,7 @@ TEST(DynIncremental, InsertOnlyRepairMatchesFullRecomputeBitwise)
 
 TEST(DynIncremental, DeletesFallBackToFullAndStayCorrect)
 {
+    par::LaneLease lease(par::num_threads());
     auto store = make_store(graph::make_uniform(9, 6, 21));
     const vid_t n = store->base().num_vertices();
     DynamicGraph dg(store);
@@ -372,6 +378,7 @@ TEST(DynIncremental, DeletesFallBackToFullAndStayCorrect)
 
 TEST(DynIncremental, DeltaPageRankStaysWithinConvergenceEpsilon)
 {
+    par::LaneLease lease(par::num_threads());
     for (auto& topo : topologies()) {
         const vid_t n = topo.graph.num_vertices();
         auto store = make_store(topo.graph);
@@ -401,6 +408,7 @@ TEST(DynIncremental, DeltaPageRankStaysWithinConvergenceEpsilon)
 
 TEST(DynGenerations, IdentityStableWhileFingerprintTracksGenerations)
 {
+    par::LaneLease lease(par::num_threads());
     auto store = make_store(graph::make_uniform(8, 4, 31));
     const std::uint64_t id0 = store->identity();
     EXPECT_EQ(store->fingerprint(), id0);
@@ -418,6 +426,7 @@ TEST(DynGenerations, IdentityStableWhileFingerprintTracksGenerations)
 
 TEST(DynGenerations, RetiredGenerationBytesFollowOutstandingViews)
 {
+    par::LaneLease lease(par::num_threads());
     auto store = make_store(graph::make_uniform(8, 4, 33));
     DynamicGraph dg(store);
     const std::size_t clean_bytes = store->bytes_resident();

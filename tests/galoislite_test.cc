@@ -58,7 +58,7 @@ TEST(InsertBagTest, CollectsFromAllLanes)
     });
     auto all = bag.take_all();
     EXPECT_EQ(all.size(),
-              static_cast<std::size_t>(10 * par::num_threads()));
+              static_cast<std::size_t>(10 * par::ThreadPool::current_width()));
     EXPECT_EQ(bag.size(), 0u);
 }
 

@@ -11,6 +11,7 @@
 #include "gm/harness/framework.hh"
 #include "gm/harness/runner.hh"
 #include "gm/harness/tables.hh"
+#include "gm/par/parallel_for.hh"
 
 namespace gm::harness
 {
@@ -171,6 +172,25 @@ TEST(TablesTest, SpeedupTableUsesGapAsDenominator)
     std::ostringstream os;
     print_table5(os, cube, cube);
     EXPECT_NE(os.str().find("200.0%"), std::string::npos);
+}
+
+TEST(RunnerTest, TrialRunsOnEveryPoolLane)
+{
+    // A trial holds one lease of every pool lane, inline and on the
+    // watchdog's thread alike, so its forks record the pool width.
+    const auto frameworks = make_frameworks();
+    for (const int timeout_ms : {0, 60'000}) {
+        RunOptions opts;
+        opts.trials = 1;
+        opts.verify = false;
+        opts.trial_timeout_ms = timeout_ms;
+        const CellResult cell =
+            run_cell(small_suite()[3], frameworks[kGapIndex], Kernel::kPR,
+                     Mode::kBaseline, opts);
+        ASSERT_TRUE(cell.completed()) << cell.failure_message;
+        EXPECT_EQ(cell.metrics.lanes, par::num_threads())
+            << "timeout " << timeout_ms;
+    }
 }
 
 TEST(RunnerTest, CsvRoundTripHasHeaderAndRows)

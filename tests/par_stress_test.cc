@@ -23,6 +23,7 @@ namespace
 TEST(ParStress, ManySmallForkJoins)
 {
     // Thousands of tiny regions: exercises pool wake/sleep paths.
+    LaneLease lease(num_threads());
     std::atomic<std::int64_t> total{0};
     for (int round = 0; round < 2000; ++round) {
         parallel_for<int>(0, 4,
@@ -34,6 +35,7 @@ TEST(ParStress, ManySmallForkJoins)
 TEST(ParStress, AlternatingPrimitives)
 {
     // Interleave for/reduce/lanes/blocks; state must stay consistent.
+    LaneLease lease(num_threads());
     std::vector<std::int64_t> data(50000);
     parallel_for<std::size_t>(0, data.size(), [&](std::size_t i) {
         data[i] = static_cast<std::int64_t>(i);
@@ -51,7 +53,7 @@ TEST(ParStress, AlternatingPrimitives)
             });
         std::atomic<int> lanes_seen{0};
         parallel_lanes([&](int, int) { lanes_seen.fetch_add(1); });
-        EXPECT_EQ(lanes_seen.load(), ThreadPool::instance().num_threads());
+        EXPECT_EQ(lanes_seen.load(), lease.width());
     }
 }
 
@@ -59,7 +61,8 @@ TEST(ParStress, BarrierPhasesNeverSkew)
 {
     // Each lane increments a phase counter; after every barrier, all lanes
     // must observe the same completed phase count.
-    const int lanes = effective_lanes();
+    LaneLease lease(num_threads());
+    const int lanes = ThreadPool::current_width();
     Barrier barrier(lanes);
     std::vector<std::int64_t> progress(static_cast<std::size_t>(lanes), 0);
     std::atomic<bool> ok{true};
@@ -81,6 +84,7 @@ TEST(ParStress, BarrierPhasesNeverSkew)
 TEST(ParStress, FetchMinConvergesUnderContention)
 {
     // All lanes hammer the same cells; final values must be true minima.
+    LaneLease lease(num_threads());
     constexpr int kCells = 64;
     constexpr int kUpdates = 200000;
     std::vector<int> cells(kCells, 1 << 30);
@@ -94,6 +98,7 @@ TEST(ParStress, FetchMinConvergesUnderContention)
 TEST(ParStress, AtomicFloatAddExact)
 {
     // Sum of 1..N via contended float adds; doubles hold this exactly.
+    LaneLease lease(num_threads());
     double total = 0;
     constexpr int kN = 100000;
     parallel_for<int>(1, kN + 1, [&](int i) {
@@ -105,6 +110,7 @@ TEST(ParStress, AtomicFloatAddExact)
 TEST(ParStress, QueueBufferUnderPool)
 {
     // GAP-style frontier production from all lanes through QueueBuffers.
+    LaneLease lease(num_threads());
     constexpr int kItems = 100000;
     SlidingQueue<int> queue(kItems);
     parallel_lanes([&](int lane, int lanes) {
@@ -163,8 +169,9 @@ TEST(ParStress, ConcurrentLeaseHoldersShareThePool)
 
 TEST(ParStress, LeaseChurnUnderForkLoad)
 {
-    // Rapid acquire/release while another thread runs ephemeral-lease
-    // forks: stresses worker attach/detach against job dispatch.
+    // Rapid acquire/release of every lane on one thread while another
+    // takes a fresh two-lane lease per fork: stresses worker
+    // attach/detach against job dispatch.
     std::atomic<bool> stop{false};
     std::atomic<std::int64_t> forks{0};
     std::thread churner([&] {
@@ -174,6 +181,7 @@ TEST(ParStress, LeaseChurnUnderForkLoad)
         }
     });
     for (int round = 0; round < 500; ++round) {
+        LaneLease lease(2);
         parallel_for<int>(0, 64,
                           [&](int) { forks.fetch_add(1); });
     }
@@ -187,6 +195,7 @@ TEST(ParStress, DynamicScheduleBalancesSkewedWork)
     // Power-law-ish work distribution: dynamic scheduling must still cover
     // every index exactly once (balance itself is not asserted — only
     // correctness under uneven task lengths).
+    LaneLease lease(num_threads());
     constexpr int kN = 20000;
     std::vector<std::atomic<int>> hits(kN);
     parallel_for<int>(0, kN, [&](int i) {

@@ -23,7 +23,8 @@ namespace
 TEST(ThreadPool, RunsJobOnAllLanes)
 {
     ThreadPool& pool = ThreadPool::instance();
-    std::vector<int> hit(static_cast<std::size_t>(pool.num_threads()), 0);
+    LaneLease lease(pool.num_threads());
+    std::vector<int> hit(static_cast<std::size_t>(lease.width()), 0);
     pool.run([&](int lane) { hit[static_cast<std::size_t>(lane)] = 1; });
     for (int h : hit)
         EXPECT_EQ(h, 1);
@@ -31,12 +32,13 @@ TEST(ThreadPool, RunsJobOnAllLanes)
 
 TEST(ThreadPool, ReusableAcrossManyJobs)
 {
+    LaneLease lease(num_threads());
     std::atomic<int> counter{0};
     for (int round = 0; round < 200; ++round) {
         ThreadPool::instance().run(
             [&](int) { counter.fetch_add(1, std::memory_order_relaxed); });
     }
-    EXPECT_EQ(counter.load(), 200 * ThreadPool::instance().num_threads());
+    EXPECT_EQ(counter.load(), 200 * lease.width());
 }
 
 TEST(ThreadPool, PropagatesCancelTokenIntoLanes)
@@ -46,8 +48,8 @@ TEST(ThreadPool, PropagatesCancelTokenIntoLanes)
     // kernels could never be cancelled.
     support::CancelToken token;
     ThreadPool& pool = ThreadPool::instance();
-    std::vector<std::atomic<int>> saw(
-        static_cast<std::size_t>(pool.num_threads()));
+    LaneLease lease(pool.num_threads());
+    std::vector<std::atomic<int>> saw(static_cast<std::size_t>(lease.width()));
     {
         support::ScopedCancelToken scope(&token);
         std::thread canceller([&] {
@@ -74,6 +76,7 @@ TEST(ThreadPool, PropagatesCancelTokenIntoLanes)
 
 TEST(ThreadPool, NestedRunDegradesToSerial)
 {
+    LaneLease lease(num_threads());
     std::atomic<int> inner_calls{0};
     ThreadPool::instance().run([&](int) {
         EXPECT_TRUE(ThreadPool::in_parallel_region());
@@ -83,11 +86,13 @@ TEST(ThreadPool, NestedRunDegradesToSerial)
                 inner_calls.fetch_add(1);
             });
     });
-    EXPECT_EQ(inner_calls.load(), ThreadPool::instance().num_threads());
+    EXPECT_EQ(inner_calls.load(), lease.width());
 }
 
 class ScheduleTest : public ::testing::TestWithParam<Schedule>
 {
+  protected:
+    LaneLease lease_{num_threads()};
 };
 
 TEST_P(ScheduleTest, CoversEveryIndexExactlyOnce)
@@ -115,6 +120,7 @@ INSTANTIATE_TEST_SUITE_P(AllSchedules, ScheduleTest,
 
 TEST(ParallelFor, NonZeroBeginRespected)
 {
+    LaneLease lease(num_threads());
     std::vector<std::atomic<int>> hits(100);
     parallel_for<int>(10, 90, [&](int i) { hits[i].fetch_add(1); });
     for (int i = 0; i < 100; ++i)
@@ -123,6 +129,7 @@ TEST(ParallelFor, NonZeroBeginRespected)
 
 TEST(ParallelReduce, SumMatchesSerial)
 {
+    LaneLease lease(num_threads());
     constexpr std::int64_t kN = 1000000;
     const std::int64_t sum = parallel_reduce<std::int64_t, std::int64_t>(
         0, kN, 0, [](std::int64_t i) { return i; },
@@ -132,6 +139,7 @@ TEST(ParallelReduce, SumMatchesSerial)
 
 TEST(ParallelReduce, MaxMatchesSerial)
 {
+    LaneLease lease(num_threads());
     std::vector<int> data(10000);
     for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = static_cast<int>((i * 7919) % 10007);
@@ -144,6 +152,7 @@ TEST(ParallelReduce, MaxMatchesSerial)
 
 TEST(ParallelBlocks, PartitionIsDisjointAndComplete)
 {
+    LaneLease lease(num_threads());
     constexpr int kN = 12345;
     std::vector<std::atomic<int>> hits(kN);
     parallel_blocks<int>(0, kN, [&](int, int lo, int hi) {
@@ -156,13 +165,14 @@ TEST(ParallelBlocks, PartitionIsDisjointAndComplete)
 
 TEST(ParallelLanes, EveryLaneRunsOnce)
 {
+    LaneLease lease(num_threads());
     std::atomic<int> calls{0};
     parallel_lanes([&](int lane, int lanes) {
         EXPECT_GE(lane, 0);
         EXPECT_LT(lane, lanes);
         calls.fetch_add(1);
     });
-    EXPECT_EQ(calls.load(), ThreadPool::instance().num_threads());
+    EXPECT_EQ(calls.load(), lease.width());
 }
 
 TEST(Atomics, CompareAndSwap)
@@ -185,6 +195,7 @@ TEST(Atomics, FetchMinOnlyDecreases)
 
 TEST(Atomics, ConcurrentFetchMinFindsGlobalMin)
 {
+    LaneLease lease(num_threads());
     int x = 1 << 30;
     parallel_for<int>(0, 100000, [&](int i) { fetch_min(x, i ^ 0x2a); });
     // The minimum of i^42 over the range is 0 (at i == 42).
@@ -193,6 +204,7 @@ TEST(Atomics, ConcurrentFetchMinFindsGlobalMin)
 
 TEST(Atomics, ConcurrentFloatAdd)
 {
+    LaneLease lease(num_threads());
     double total = 0;
     parallel_for<int>(0, 100000, [&](int) { atomic_add_float(total, 1.0); });
     EXPECT_DOUBLE_EQ(total, 100000.0);
@@ -200,6 +212,7 @@ TEST(Atomics, ConcurrentFloatAdd)
 
 TEST(Atomics, ConcurrentFetchAddCounts)
 {
+    LaneLease lease(num_threads());
     std::int64_t counter = 0;
     parallel_for<int>(0, 50000,
                       [&](int) { fetch_add<std::int64_t>(counter, 2); });
@@ -216,7 +229,8 @@ TEST(Barrier, SinglePartyNeverBlocks)
 
 TEST(Barrier, SynchronizesPhases)
 {
-    const int lanes = effective_lanes();
+    LaneLease lease(num_threads());
+    const int lanes = ThreadPool::current_width();
     Barrier barrier(lanes);
     std::vector<int> phase_a(static_cast<std::size_t>(lanes), 0);
     std::atomic<bool> ok{true};
@@ -232,10 +246,12 @@ TEST(Barrier, SynchronizesPhases)
     EXPECT_TRUE(ok.load());
 }
 
-TEST(SerialRegion, DegradesLoopsToCallingThread)
+// ------------------------------------------------------------- no lease
+
+TEST(Unleased, PrimitivesStayOnCallingThread)
 {
-    SerialRegion serial;
-    EXPECT_TRUE(ThreadPool::in_serial_region());
+    ASSERT_EQ(LaneLease::current(), nullptr);
+    EXPECT_EQ(ThreadPool::current_width(), 1);
     const auto self = std::this_thread::get_id();
     std::atomic<int> off_thread{0};
     std::atomic<int> count{0};
@@ -266,30 +282,35 @@ TEST(SerialRegion, DegradesLoopsToCallingThread)
         ++blocks;
     });
     EXPECT_EQ(blocks, 1);
+
+    int runs = 0;
+    const int width = ThreadPool::instance().run([&](int lane) {
+        EXPECT_EQ(lane, 0);
+        EXPECT_EQ(std::this_thread::get_id(), self);
+        ++runs;
+    });
+    EXPECT_EQ(width, 1);
+    EXPECT_EQ(runs, 1);
 }
 
-TEST(SerialRegion, EndsWhenOutermostRegionDies)
+TEST(Unleased, WidthReturnsToOneWhenLeaseEnds)
 {
     {
-        SerialRegion outer;
-        {
-            SerialRegion inner;
-            EXPECT_TRUE(ThreadPool::in_serial_region());
-        }
-        EXPECT_TRUE(ThreadPool::in_serial_region());
+        LaneLease lease(num_threads());
+        EXPECT_EQ(ThreadPool::current_width(), lease.width());
     }
-    EXPECT_FALSE(ThreadPool::in_serial_region());
+    EXPECT_EQ(LaneLease::current(), nullptr);
+    EXPECT_EQ(ThreadPool::current_width(), 1);
 }
 
-TEST(SerialRegion, CancellationStillThrows)
+TEST(Unleased, CancellationStillThrows)
 {
-    // Unlike the nested-in-pool degrade (silent return), a serial region
-    // must surface cancellation as an exception so a cancelled serve
-    // request unwinds out of its kernel.
+    // Unlike the nested-in-pool degrade (silent return), code run without
+    // a lease surfaces cancellation as an exception so a cancelled trial
+    // unwinds out of its kernel.
     support::CancelToken token;
     token.request();
     support::ScopedCancelToken scope(&token);
-    SerialRegion serial;
     EXPECT_THROW(parallel_for(0, 100000, [](int) {}),
                  support::CancelledError);
     EXPECT_THROW(parallel_reduce(
@@ -297,49 +318,21 @@ TEST(SerialRegion, CancellationStillThrows)
                      [](int i) { return static_cast<long>(i); },
                      [](long a, long b) { return a + b; }),
                  support::CancelledError);
+    EXPECT_THROW(parallel_blocks(0, 100, [](int, int, int) {}),
+                 support::CancelledError);
 }
 
-TEST(ThreadPool, ConcurrentSubmittersShareLanes)
+TEST(ThreadPool, UnleasedSubmitterDoesNotBlockOnPool)
 {
-    // Several free threads hammer run() at once.  Each submission takes a
-    // best-effort ephemeral lease, so it must execute on exactly the
-    // width run() reports — every lane once, at least 1 (the submitter's
-    // own lane), at most the pool width, and possibly fewer than the
-    // pool width while other submitters hold workers.  (The TSan tier
-    // additionally checks the fork-join and detach state isn't torn.)
+    // A thread without a lease never waits for workers, so it makes
+    // progress even while another thread holds every worker in a long
+    // pool job.
     ThreadPool& pool = ThreadPool::instance();
-    const int submitters = 4;
-    const int rounds = 25;
-    std::atomic<long> executions{0};
-    std::atomic<long> width_total{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < submitters; ++t) {
-        threads.emplace_back([&] {
-            for (int r = 0; r < rounds; ++r) {
-                std::atomic<int> lanes_hit{0};
-                const int width = pool.run([&](int) {
-                    lanes_hit.fetch_add(1, std::memory_order_relaxed);
-                    executions.fetch_add(1, std::memory_order_relaxed);
-                });
-                EXPECT_GE(width, 1);
-                EXPECT_LE(width, pool.num_threads());
-                EXPECT_EQ(lanes_hit.load(), width);
-                width_total.fetch_add(width, std::memory_order_relaxed);
-            }
-        });
-    }
-    for (auto& th : threads)
-        th.join();
-    EXPECT_EQ(executions.load(), width_total.load());
-}
-
-TEST(ThreadPool, SerialRegionSubmitterDoesNotBlockOnPool)
-{
-    // A thread inside a SerialRegion never queues on the shared pool, so
-    // it makes progress even while another thread owns a long pool job.
-    ThreadPool& pool = ThreadPool::instance();
+    std::atomic<bool> leased{false};
     std::atomic<bool> release{false};
     std::thread hog([&] {
+        LaneLease lease(pool.num_threads());
+        leased.store(true, std::memory_order_release);
         pool.run([&](int lane) {
             if (lane == 0) {
                 while (!release.load(std::memory_order_acquire))
@@ -348,9 +341,10 @@ TEST(ThreadPool, SerialRegionSubmitterDoesNotBlockOnPool)
             }
         });
     });
+    while (!leased.load(std::memory_order_acquire))
+        std::this_thread::yield();
     std::atomic<int> serial_sum{0};
     std::thread serial([&] {
-        SerialRegion region;
         parallel_for(0, 1000,
                      [&](int) { serial_sum.fetch_add(1); });
         release.store(true, std::memory_order_release);
@@ -385,6 +379,35 @@ TEST(LaneLease, RunUsesExactlyTheLeasedLanes)
         EXPECT_EQ(h.load(), 1);
 }
 
+TEST(LaneLease, CurrentWidthIsTheWidthThatRuns)
+{
+    // current_width(), run()'s return value and the lane count
+    // parallel_lanes passes all report the lanes that actually run.
+    const int pool_width = num_threads();
+    for (const int w : {1, 2, pool_width}) {
+        LaneLease lease(w);
+        const int width = lease.width();
+        EXPECT_EQ(width, std::min(w, pool_width)) << "width " << w;
+        EXPECT_EQ(ThreadPool::current_width(), width) << "width " << w;
+
+        std::atomic<int> run_lanes{0};
+        const int used = ThreadPool::instance().run([&](int lane) {
+            EXPECT_LT(lane, width);
+            run_lanes.fetch_add(1);
+        });
+        EXPECT_EQ(used, width) << "width " << w;
+        EXPECT_EQ(run_lanes.load(), width) << "width " << w;
+
+        std::atomic<int> region_lanes{0};
+        parallel_lanes([&](int lane, int lanes) {
+            EXPECT_LT(lane, lanes);
+            EXPECT_EQ(lanes, width);
+            region_lanes.fetch_add(1);
+        });
+        EXPECT_EQ(region_lanes.load(), width) << "width " << w;
+    }
+}
+
 TEST(LaneLease, NestedLeaseAdoptsEnclosingWidth)
 {
     LaneLease outer(ThreadPool::instance().num_threads());
@@ -413,6 +436,7 @@ TEST(LaneLease, WidthOneLeaseDegradesPrimitivesToSerial)
 
 TEST(LaneLease, InsideLaneAdoptsSerially)
 {
+    LaneLease lease(num_threads());
     ThreadPool::instance().run([&](int) {
         LaneLease nested(8);
         EXPECT_EQ(nested.width(), 1);
@@ -502,7 +526,10 @@ TEST(Determinism, ReduceMatchesOneLaneFoldExactly)
     // path performs the identical chunk-grid fold the one-lane path does
     // (the grid is a function of kN alone).  A naive continuous fold is
     // a *different* association and is only near-equal.
-    EXPECT_EQ(fold(), one_lane);
+    {
+        LaneLease lease(num_threads());
+        EXPECT_EQ(fold(), one_lane);
+    }
     double naive = 0.0;
     for (int i = 0; i < kN; ++i)
         naive += 1.0 / (1.0 + i);

@@ -19,7 +19,9 @@
 #include "gm/harness/framework.hh"
 #include "gm/harness/runner.hh"
 #include "gm/perf/baseline.hh"
+#include "gm/par/parallel_for.hh"
 #include "gm/perf/gate.hh"
+#include "gm/support/env.hh"
 #include "gm/support/fault_injector.hh"
 #include "gm/support/fingerprint.hh"
 #include "gm/support/json.hh"
@@ -89,6 +91,17 @@ TEST(Fingerprint, JsonRoundTrips)
     EXPECT_TRUE(*parsed == fp);
     EXPECT_GT(parsed->threads, 0);
     EXPECT_FALSE(parsed->compiler.empty());
+}
+
+TEST(Fingerprint, ThreadsIsThePoolWidth)
+{
+    // tests/CMakeLists.txt also runs this with GM_THREADS=1, where the
+    // record must say 1 whatever the host has.
+    const support::EnvFingerprint fp = support::collect_fingerprint();
+    EXPECT_EQ(fp.threads, par::num_threads());
+    if (env_int("GM_THREADS", 0) == 1) {
+        EXPECT_EQ(fp.threads, 1);
+    }
 }
 
 TEST(Fingerprint, RecordLineIsRecognizable)

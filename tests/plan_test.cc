@@ -63,11 +63,11 @@ dataset(const std::string& name)
     throw std::runtime_error("no such dataset: " + name);
 }
 
-/** Reference execution: the plan::execute ground truth, serially. */
+/** Reference execution: the plan::execute ground truth, serially (this
+ *  thread holds no lease). */
 std::vector<plan::Value>
 reference(const plan::Plan& p, const std::string& graph)
 {
-    par::SerialRegion serial;
     plan::Context ctx{&dataset(graph),
                       &frameworks()[harness::kGapIndex],
                       Mode::kBaseline};

@@ -66,12 +66,12 @@ struct ScopedFaults
     ~ScopedFaults() { support::FaultInjector::global().clear(); }
 };
 
-/** Run @p fn serially on this thread, exactly as a serve worker would. */
+/** Run @p fn on this thread, which holds no lease, so serially: the
+ *  reference a leased, served result must match bit for bit. */
 template <typename Fn>
 ResultValue
 direct(Fn&& fn)
 {
-    par::SerialRegion serial;
     return std::forward<Fn>(fn)();
 }
 

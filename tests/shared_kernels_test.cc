@@ -31,7 +31,7 @@
 #include "gm/harness/dataset.hh"
 #include "gm/nwlite/algorithms.hh"
 #include "gm/obs/trace.hh"
-#include "gm/par/thread_pool.hh"
+#include "gm/par/parallel_for.hh"
 #include "gm/store/graph_store.hh"
 
 namespace gm
@@ -306,6 +306,7 @@ TEST(SharedKernels, TriangleCountsIdenticalAcrossFrameworks)
 
 TEST(SharedKernels, GaussSeidelPageRankCountsEveryEdgeOfEverySweep)
 {
+    par::LaneLease lease(par::num_threads());
     for (const auto& [graph_name, g] : graphs()) {
         for (const auto& [name, pagerank] : gauss_seidel_pageranks()) {
             SCOPED_TRACE(graph_name + "/" + name);
@@ -324,6 +325,7 @@ TEST(SharedKernels, GaussSeidelPageRankCountsEveryEdgeOfEverySweep)
 
 TEST(SharedKernels, BfsReportsItsWork)
 {
+    par::LaneLease lease(par::num_threads());
     for (const auto& [graph_name, g] : graphs()) {
         for (const auto& [name, bfs] : direction_optimizing_bfses()) {
             SCOPED_TRACE(graph_name + "/" + name);
@@ -343,6 +345,7 @@ TEST(SharedKernels, BfsReportsItsWork)
 
 TEST(SharedKernels, DeltaSteppingReportsItsWork)
 {
+    par::LaneLease lease(par::num_threads());
     for (const auto& [graph_name, g] : weighted_graphs()) {
         for (const auto& [name, sssp] : delta_steppings()) {
             SCOPED_TRACE(graph_name + "/" + name);

@@ -4,8 +4,9 @@
 # (the build must stay warnings-clean), an AddressSanitizer pass over
 # the graph-store and GraphBLAS tests (the code most exposed to the
 # zero-copy view lifetimes introduced by the GraphStore refactor), a
-# ThreadSanitizer pass over the tracing, thread-pool, and serve tests
-# (the code with cross-thread counter/span/queue traffic), a
+# ThreadSanitizer pass over the tracing, thread-pool, serve and trial
+# watchdog tests (the code with cross-thread counter/span/queue/lease
+# traffic), a
 # profile-pipeline smoke run that fails on unparseable Chrome trace JSON,
 # a perf-gate smoke that records a baseline, self-compares it (must
 # pass), then re-runs with a fault-injected slowdown on one cell (must
@@ -84,12 +85,13 @@ cmake --build "$ASAN_DIR" -j "$JOBS" \
 "$ASAN_DIR/tests/grb_ops_edge_test"
 "$ASAN_DIR/tests/converter_test"
 
-echo "== tier 3: ThreadSanitizer build of the obs/par/serve/plan tests and the shared kernels =="
+echo "== tier 3: ThreadSanitizer build of the obs/par/serve/plan tests, the shared kernels and the watchdog =="
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DGM_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
     --target obs_test par_test par_stress_test serve_test \
-    serve_resilience_test telemetry_test plan_test shared_kernels_test
+    serve_resilience_test telemetry_test plan_test shared_kernels_test \
+    robustness_test
 "$TSAN_DIR/tests/obs_test"
 "$TSAN_DIR/tests/par_test"
 "$TSAN_DIR/tests/par_stress_test"
@@ -98,6 +100,9 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 "$TSAN_DIR/tests/telemetry_test"
 "$TSAN_DIR/tests/plan_test"
 "$TSAN_DIR/tests/shared_kernels_test"
+# An abandoned trial unwinds holding a full lease while the next trial
+# leases beside it.
+"$TSAN_DIR/tests/robustness_test"
 
 echo "== tier 4: profile pipeline smoke (suite --trace-out + validation) =="
 SMOKE_DIR="$BUILD_DIR/ci-profile-smoke"
@@ -159,7 +164,9 @@ mkdir -p "$DET_DIR"
 # batch with aggregations, and a mixed CC/PR/SSSP DAG with a
 # per-component reduce) executed through Server::run_plan at width 8,
 # pinning the plan executor's concurrent DAG scheduling to the same
-# bit-identical contract.
+# bit-identical contract.  detcheck exits non-zero when a cell's lease is
+# granted fewer lanes than the pool has, so the GM_THREADS=8 leg cannot
+# match the GM_THREADS=1 leg by running serially.
 GM_THREADS=1 "$BUILD_DIR/tools/detcheck" --scale 6 --dyn --plan \
     > "$DET_DIR/det1.csv"
 GM_THREADS=8 "$BUILD_DIR/tools/detcheck" --scale 6 --dyn --plan \

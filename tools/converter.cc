@@ -15,6 +15,7 @@
 #include "gm/graph/generators.hh"
 #include "gm/graph/io.hh"
 #include "gm/graph/stats.hh"
+#include "gm/par/parallel_for.hh"
 
 int
 main(int argc, char** argv)
@@ -42,6 +43,7 @@ main(int argc, char** argv)
         return 1;
     }
 
+    par::LaneLease lease(par::num_threads());
     graph::CSRGraph g;
     switch (opts->source) {
       case cli::GraphSource::kKronecker:

@@ -27,11 +27,17 @@
  * concurrently under the lane budget, so the same GM_THREADS diff pins
  * plan answers bit-identical at any width.
  *
- * Exit codes: 0 ok, 1 usage, 3 a kernel threw.
+ * Each static cell and each --dyn topology runs on one LaneLease of every
+ * pool lane; plan nodes lease their own lanes in the serve executor.  A
+ * lease granted fewer lanes than the pool has fails the run, so a wide
+ * run cannot match a one-lane run by running serially.
+ *
+ * Exit codes: 0 ok, 1 usage, 3 a kernel threw or a lease came up short.
  */
 #include <cstdint>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,6 +47,7 @@
 #include "gm/graph/generators.hh"
 #include "gm/harness/dataset.hh"
 #include "gm/harness/framework.hh"
+#include "gm/par/parallel_for.hh"
 #include "gm/plan/plan.hh"
 #include "gm/serve/server.hh"
 #include "gm/support/hash.hh"
@@ -71,9 +78,22 @@ usage()
         << "  -h, --help         this help\n";
 }
 
+/** Throw unless @p lease holds every pool lane. */
+void
+require_full_width(const gm::par::LaneLease& lease)
+{
+    const int pool = gm::par::num_threads();
+    if (lease.width() != pool)
+        throw std::runtime_error("lease granted " +
+                                 std::to_string(lease.width()) + " of " +
+                                 std::to_string(pool) + " lanes");
+}
+
 std::uint64_t
 run_cell(const Framework& fw, Kernel kernel, const Dataset& ds, Mode mode)
 {
+    const gm::par::LaneLease lease(gm::par::num_threads());
+    require_full_width(lease);
     const gm::vid_t source = ds.sources.empty() ? 0 : ds.sources[0];
     gm::support::Fnv1a h;
     switch (kernel) {
@@ -150,6 +170,8 @@ vector_digest(const std::vector<T>& v)
 void
 run_dyn_rows(int scale)
 {
+    const gm::par::LaneLease lease(gm::par::num_threads());
+    require_full_width(lease);
     constexpr std::uint64_t kSeed = 2024;
     constexpr int kRounds = 4;
     struct Topology
@@ -358,8 +380,14 @@ main(int argc, char** argv)
             }
         }
     }
-    if (dyn)
-        run_dyn_rows(scale);
+    if (dyn) {
+        try {
+            run_dyn_rows(scale);
+        } catch (const std::exception& e) {
+            std::cerr << "dyn rows threw: " << e.what() << "\n";
+            ++failures;
+        }
+    }
     if (plan)
         failures += run_plan_rows(suite, frameworks, mode);
     return failures == 0 ? 0 : 3;

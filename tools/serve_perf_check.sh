@@ -5,8 +5,8 @@
 # workload of heavy queries (PR + SSSP at scale 12, cache disabled so
 # every request re-executes):
 #
-#   serial.jsonl    --width 1:1.0  — every request runs single-lane,
-#                   the behaviour of the old SerialRegion execute path
+#   serial.jsonl    --width 1:1.0  — every request runs single-lane
+#                   under a width-1 LaneLease
 #   parallel.jsonl  --width 8:1.0  — every request asks for 8 lanes;
 #                   LaneLease grants are best-effort, clamped to the
 #                   pool, so this is the multi-lane path in production
@@ -52,7 +52,7 @@ logged()
 BENCH_ARGS="--scale 12 --requests 240 --distinct 12 --workers 2 \
     --clients 4 --seed 7 --cache-mb 0 --kernels PR,SSSP"
 
-echo "== serve perf: record width-1 (SerialRegion-equivalent) baseline =="
+echo "== serve perf: record width-1 (single-lane) baseline =="
 # shellcheck disable=SC2086  # BENCH_ARGS is a flat flag list
 logged "$OUT_DIR/serial.log" "$BUILD_DIR/tools/serve_bench" $BENCH_ARGS \
     --width 1:1.0 --baseline-out "$OUT_DIR/serial.jsonl"
