@@ -11,7 +11,7 @@
  *  A5. TC degree relabel on/off           (heuristic-controlled presort)
  *  A6. Galois async vs bulk-synchronous   (Road helps, Urand hurts)
  *
- * Env: GM_SCALE (default 14), GM_THREADS.
+ * Env: GM_SCALE (default 15), GM_THREADS.
  */
 #include <functional>
 #include <iomanip>

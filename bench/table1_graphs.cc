@@ -2,7 +2,7 @@
  * @file
  * Regenerates Table I: properties of the five evaluation graphs.
  *
- * Scale via GM_SCALE (log2 vertex count, default 14); threads via
+ * Scale via GM_SCALE (log2 vertex count, default 15); threads via
  * GM_THREADS.
  */
 #include <iostream>

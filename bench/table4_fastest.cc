@@ -4,7 +4,7 @@
  * both the Baseline and the Optimized rule sets, with the winning
  * framework, over the full 6-framework x 6-kernel x 5-graph sweep.
  *
- * Env: GM_SCALE (default 14), GM_TRIALS (default 2), GM_THREADS,
+ * Env: GM_SCALE (default 15), GM_TRIALS (default 5), GM_THREADS,
  * GM_VERIFY=0 to skip verification, GM_TRIAL_TIMEOUT_MS for the per-trial
  * watchdog, GM_CHECKPOINT / GM_RESUME for crash-safe JSONL checkpointing.
  * Also dumps raw CSVs next to the binary (results_baseline.csv /

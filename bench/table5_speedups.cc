@@ -4,7 +4,7 @@
  * (as a percentage; >100% = faster than GAP) for all 30 GAP tests under
  * both rule sets — the paper's headline heat map.
  *
- * Env: GM_SCALE (default 14), GM_TRIALS (default 2), GM_THREADS.
+ * Env: GM_SCALE (default 15), GM_TRIALS (default 5), GM_THREADS.
  */
 #include <iostream>
 

@@ -12,6 +12,7 @@
 #include "gm/obs/metrics.hh"
 #include "gm/par/parallel_for.hh"
 #include "gm/support/fingerprint.hh"
+#include "gm/support/jsonl.hh"
 #include "gm/support/status.hh"
 #include "gm/support/timer.hh"
 
@@ -24,6 +25,27 @@ namespace
 using support::Status;
 using support::StatusCode;
 using support::StatusOr;
+
+const harness::Framework*
+find_framework(const std::vector<harness::Framework>& frameworks,
+               const std::string& name)
+{
+    static const std::pair<const char*, const char*> aliases[] = {
+        {"gap", "GAP"},         {"suitesparse", "SuiteSparse"},
+        {"galois", "Galois"},   {"nwgraph", "NWGraph"},
+        {"graphit", "GraphIt"}, {"gkc", "GKC"},
+    };
+    for (const auto& [alias, display] : aliases) {
+        if (name == alias || name == display) {
+            for (const auto& fw : frameworks)
+                if (fw.name == display)
+                    return &fw;
+        }
+    }
+    return nullptr;
+}
+
+} // namespace
 
 StatusOr<graph::CSRGraph>
 build_input_graph(const Options& opts)
@@ -62,27 +84,6 @@ build_input_graph(const Options& opts)
     }
     return Status(StatusCode::kInvalidInput, "unknown graph source");
 }
-
-const harness::Framework*
-find_framework(const std::vector<harness::Framework>& frameworks,
-               const std::string& name)
-{
-    static const std::pair<const char*, const char*> aliases[] = {
-        {"gap", "GAP"},         {"suitesparse", "SuiteSparse"},
-        {"galois", "Galois"},   {"nwgraph", "NWGraph"},
-        {"graphit", "GraphIt"}, {"gkc", "GKC"},
-    };
-    for (const auto& [alias, display] : aliases) {
-        if (name == alias || name == display) {
-            for (const auto& fw : frameworks)
-                if (fw.name == display)
-                    return &fw;
-        }
-    }
-    return nullptr;
-}
-
-} // namespace
 
 int
 exit_code_for(harness::FailureKind kind)
@@ -168,8 +169,8 @@ run_kernel(harness::Kernel kernel, const Options& opts)
         support::EnvFingerprint fp = support::collect_fingerprint();
         fp.scales = "scale=" + std::to_string(opts.scale) +
                     " trials=" + std::to_string(opts.trials);
-        if (auto s = support::append_fingerprint_record(
-                run_opts.metrics_path, fp);
+        if (auto s = support::append_jsonl(
+                run_opts.metrics_path, support::fingerprint_record_line(fp));
             !s.is_ok())
             std::cerr << s.to_string() << "\n";
     }

@@ -10,8 +10,10 @@
 #pragma once
 
 #include "gm/cli/options.hh"
+#include "gm/graph/csr.hh"
 #include "gm/harness/framework.hh"
 #include "gm/harness/runner.hh"
+#include "gm/support/status.hh"
 
 namespace gm::cli
 {
@@ -27,6 +29,14 @@ enum ExitCode : int
     kExitWrongResult = 5,   ///< result failed spec verification
     kExitFaultInjected = 6, ///< GM_FAULTS fault survived all retries
 };
+
+/**
+ * Build the graph @p opts names: one of the five generators, a .gmg
+ * binary, or a text edge list (directed unless -s), validated through
+ * graph::try_build_graph.  Never aborts on bad input: a malformed or
+ * out-of-range file is a non-ok Status.
+ */
+support::StatusOr<graph::CSRGraph> build_input_graph(const Options& opts);
 
 /** Map a cell's failure kind onto the exit-code convention. */
 int exit_code_for(harness::FailureKind kind);

@@ -41,7 +41,8 @@ std::vector<weight_t> sssp(const WCSRGraph& graph, vid_t source,
                            weight_t delta);
 
 /**
- * PageRank via Jacobi-style SpMV (pull over incoming edges).
+ * PageRank via Jacobi-style SpMV (pull over incoming edges).  Forwards
+ * to the shared graph::pagerank_jacobi.
  *
  * @param damping   Damping factor (0.85 per GAP).
  * @param tolerance L1 convergence threshold (1e-4 per GAP).

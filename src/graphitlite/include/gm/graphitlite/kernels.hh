@@ -39,8 +39,9 @@ std::vector<weight_t> sssp(const WCSRGraph& graph, vid_t source,
 std::vector<vid_t> cc_label_prop(const CSRGraph& graph,
                                  const Schedule& sched = Schedule::baseline());
 
-/** Jacobi PageRank; sched.num_segments > 1 enables cache tiling
- *  (propagation-blocking style segmented pull). */
+/** Jacobi PageRank: graph::pagerank_jacobi untiled, while
+ *  sched.num_segments > 1 enables cache tiling (propagation-blocking
+ *  style segmented pull). */
 std::vector<score_t> pagerank(const CSRGraph& graph, double damping = 0.85,
                               double tolerance = 1e-4, int max_iters = 100,
                               const Schedule& sched = Schedule::baseline());

@@ -144,38 +144,38 @@ std::vector<score_t>
 pagerank(const CSRGraph& g, double damping, double tolerance, int max_iters,
          const Schedule& sched)
 {
+    const int segments = std::max(1, sched.num_segments);
+    if (segments <= 1)
+        return graph::pagerank_jacobi(g, damping, tolerance, max_iters);
+
     const vid_t n = g.num_vertices();
     const score_t base = (1.0 - damping) / n;
     std::vector<score_t> scores(static_cast<std::size_t>(n), score_t{1} / n);
     std::vector<score_t> contrib(static_cast<std::size_t>(n));
 
-    const int segments = std::max(1, sched.num_segments);
     // Cache tiling: per destination, precompute the boundaries of each
     // source segment in its (sorted) in-neighbor list.  The preprocessing
     // is part of the kernel time and amortizes over iterations, as the
     // paper describes.
-    std::vector<eid_t> seg_bounds;
-    if (segments > 1) {
-        seg_bounds.resize(static_cast<std::size_t>(n) *
-                          (static_cast<std::size_t>(segments) + 1));
-        const vid_t seg_width = (n + segments - 1) / segments;
-        par::parallel_for<vid_t>(0, n, [&](vid_t v) {
-            const auto neigh = g.in_neigh(v);
-            eid_t pos = 0;
-            const std::size_t row =
-                static_cast<std::size_t>(v) *
-                (static_cast<std::size_t>(segments) + 1);
-            seg_bounds[row] = 0;
-            for (int s = 1; s <= segments; ++s) {
-                const vid_t bound = std::min<vid_t>(
-                    static_cast<vid_t>(s) * seg_width, n);
-                while (pos < static_cast<eid_t>(neigh.size()) &&
-                       neigh[static_cast<std::size_t>(pos)] < bound)
-                    ++pos;
-                seg_bounds[row + static_cast<std::size_t>(s)] = pos;
-            }
-        });
-    }
+    std::vector<eid_t> seg_bounds(static_cast<std::size_t>(n) *
+                                  (static_cast<std::size_t>(segments) + 1));
+    const vid_t seg_width = (n + segments - 1) / segments;
+    par::parallel_for<vid_t>(0, n, [&](vid_t v) {
+        const auto neigh = g.in_neigh(v);
+        eid_t pos = 0;
+        const std::size_t row =
+            static_cast<std::size_t>(v) *
+            (static_cast<std::size_t>(segments) + 1);
+        seg_bounds[row] = 0;
+        for (int s = 1; s <= segments; ++s) {
+            const vid_t bound =
+                std::min<vid_t>(static_cast<vid_t>(s) * seg_width, n);
+            while (pos < static_cast<eid_t>(neigh.size()) &&
+                   neigh[static_cast<std::size_t>(pos)] < bound)
+                ++pos;
+            seg_bounds[row + static_cast<std::size_t>(s)] = pos;
+        }
+    });
 
     std::vector<score_t> incoming(static_cast<std::size_t>(n));
     for (int iter = 0; iter < max_iters; ++iter) {
@@ -187,24 +187,6 @@ pagerank(const CSRGraph& g, double damping, double tolerance, int max_iters,
             const eid_t d = g.out_degree(v);
             contrib[v] = d > 0 ? scores[v] / d : 0;
         }, par::Schedule::kStatic);
-
-        if (segments <= 1) {
-            const double error = par::parallel_reduce<vid_t, double>(
-                0, n, 0.0,
-                [&](vid_t v) {
-                    score_t sum = 0;
-                    for (vid_t u : g.in_neigh(v))
-                        sum += contrib[u];
-                    const score_t next = base + damping * sum;
-                    const double diff = std::fabs(next - scores[v]);
-                    scores[v] = next;
-                    return diff;
-                },
-                [](double a, double b) { return a + b; });
-            if (error < tolerance)
-                break;
-            continue;
-        }
 
         std::fill(incoming.begin(), incoming.end(), 0.0);
         for (int s = 0; s < segments; ++s) {

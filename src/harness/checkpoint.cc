@@ -1,13 +1,12 @@
 #include "gm/harness/checkpoint.hh"
 
-#include <fstream>
 #include <map>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "gm/obs/metrics.hh"
 #include "gm/support/json.hh"
+#include "gm/support/jsonl.hh"
 #include "gm/support/log.hh"
 
 namespace gm::harness
@@ -141,42 +140,22 @@ parse_checkpoint_line(const std::string& line)
 StatusOr<std::vector<CheckpointRecord>>
 load_checkpoint(const std::string& path)
 {
-    std::ifstream in(path);
-    if (!in) {
-        return Status(StatusCode::kInvalidInput,
-                      "cannot open checkpoint file: " + path);
-    }
     std::vector<CheckpointRecord> records;
-    std::string line;
-    int line_no = 0;
-    int skipped = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.empty())
-            continue;
-        auto rec = parse_checkpoint_line(line);
-        if (!rec.is_ok()) {
-            // Typically the torn final line of a killed run.
-            log_warn(path, ":", line_no,
-                     ": skipping unreadable checkpoint record (",
-                     rec.status().message(), ")");
-            ++skipped;
-            continue;
-        }
-        records.push_back(*std::move(rec));
-    }
-    if (skipped > 0) {
-        log_warn(path, ": ", skipped,
+    const auto counts =
+        support::read_jsonl(path, [&records](int, const std::string& line) {
+            auto rec = parse_checkpoint_line(line);
+            if (!rec.is_ok())
+                return rec.status();
+            records.push_back(*std::move(rec));
+            return Status::ok();
+        });
+    if (!counts.is_ok())
+        return counts.status();
+    if (counts->skipped > 0) {
+        log_warn(path, ": ", counts->skipped,
                  " unreadable record(s) skipped; those cells will rerun");
     }
     return records;
-}
-
-void
-append_checkpoint(std::ostream& out, const CheckpointRecord& record)
-{
-    out << checkpoint_line(record) << '\n';
-    out.flush();
 }
 
 } // namespace gm::harness

@@ -1,15 +1,14 @@
 /**
  * @file
  * Crash-safe sweep checkpointing: every completed benchmark cell is
- * appended to a JSONL file (one self-contained JSON object per line,
- * flushed immediately), so a killed sweep loses at most the cell in
+ * appended to a JSONL stream (support::append_jsonl, one self-contained
+ * JSON object per line), so a killed sweep loses at most the cell in
  * flight.  On restart, run_suite(--resume) loads the file and skips every
  * cell already present; a torn final line (the crash signature) is
- * ignored.
+ * skipped by support::read_jsonl.
  */
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -43,12 +42,9 @@ parse_checkpoint_line(const std::string& line);
 /**
  * Load all intact records from @p path.  Malformed lines (typically a
  * partially-written final line after a crash) are skipped with a warning;
- * a missing file is an error.
+ * a missing file, or one with no readable record, is an error.
  */
 support::StatusOr<std::vector<CheckpointRecord>>
 load_checkpoint(const std::string& path);
-
-/** Append @p record to @p out and flush (one fsync-free durable-ish line). */
-void append_checkpoint(std::ostream& out, const CheckpointRecord& record);
 
 } // namespace gm::harness

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <tuple>
 
@@ -16,6 +17,7 @@
 #include "gm/obs/trace.hh"
 #include "gm/par/parallel_for.hh"
 #include "gm/support/fault_injector.hh"
+#include "gm/support/jsonl.hh"
 #include "gm/support/log.hh"
 #include "gm/support/timer.hh"
 #include "gm/support/watchdog.hh"
@@ -28,6 +30,25 @@ namespace
 
 using support::Status;
 using support::StatusCode;
+
+/**
+ * Append one record to a harness stream.  A failed write loses only that
+ * record, and the sweep goes on; it is warned about once per path, with
+ * what the loss means (@p consequence), not once per record.
+ */
+void
+append_or_warn(const std::string& path, const std::string& line,
+               const char* consequence)
+{
+    const Status written = support::append_jsonl(path, line);
+    if (written.is_ok())
+        return;
+    static std::mutex warned_mu;
+    static std::set<std::string> warned;
+    std::lock_guard<std::mutex> lock(warned_mu);
+    if (warned.insert(path).second)
+        log_warn(written.to_string(), "; ", consequence);
+}
 
 /** Sources for trial @p t: SSSP/BFS take one, BC takes four. */
 vid_t
@@ -341,15 +362,6 @@ run_cell(const Dataset& ds, const Framework& fw, Kernel kernel, Mode mode,
                                    to_string(kernel) + "/" + ds.name;
     obs::ChromeTraceWriter trace_writer(cell_label);
 
-    std::ofstream metrics_out;
-    if (!opts.metrics_path.empty()) {
-        metrics_out.open(opts.metrics_path, std::ios::out | std::ios::app);
-        if (!metrics_out) {
-            log_warn("cannot open metrics stream ", opts.metrics_path,
-                     "; per-trial metrics will not be recorded");
-        }
-    }
-
     // Untimed warm-up trials: same supervised execution path as real
     // trials so hangs and faults still hit the watchdog, but nothing is
     // recorded — they exist only to populate caches (and the page cache /
@@ -465,7 +477,7 @@ run_cell(const Dataset& ds, const Framework& fw, Kernel kernel, Mode mode,
         if (profile) {
             obs::TrialMetrics metrics = obs::summarize(session);
             metrics.peak_bytes = ds.store()->bytes_high_water();
-            if (metrics_out.is_open()) {
+            if (!opts.metrics_path.empty()) {
                 obs::MetricsRecord rec;
                 rec.mode = to_string(mode);
                 rec.framework = fw.name;
@@ -474,8 +486,9 @@ run_cell(const Dataset& ds, const Framework& fw, Kernel kernel, Mode mode,
                 rec.trial = trial;
                 rec.attempt = last_attempt;
                 rec.metrics = metrics;
-                metrics_out << obs::metrics_record_line(rec) << '\n';
-                metrics_out.flush();
+                append_or_warn(opts.metrics_path,
+                               obs::metrics_record_line(rec),
+                               "per-trial metrics will not be recorded");
             }
             cell.metrics = std::move(metrics);
         }
@@ -532,16 +545,6 @@ run_suite(const DatasetSuite& suite,
         }
     }
 
-    std::ofstream checkpoint;
-    if (!opts.checkpoint_path.empty()) {
-        checkpoint.open(opts.checkpoint_path,
-                        std::ios::out | std::ios::app);
-        if (!checkpoint) {
-            log_warn("cannot open checkpoint ", opts.checkpoint_path,
-                     "; sweep will not be resumable");
-        }
-    }
-
     cube.cells.resize(frameworks.size());
     for (std::size_t f = 0; f < frameworks.size(); ++f) {
         cube.cells[f].resize(std::size(kAllKernels));
@@ -576,13 +579,13 @@ run_suite(const DatasetSuite& suite,
                          to_string(kernel), " ", suite[g].name, ": ",
                          row[g].avg_seconds, " s",
                          row[g].completed() ? "" : " (DNF)");
-                if (checkpoint.is_open()) {
-                    append_checkpoint(
-                        checkpoint,
-                        CheckpointRecord{to_string(mode),
-                                         frameworks[f].name,
-                                         to_string(kernel), suite[g].name,
-                                         row[g]});
+                if (!opts.checkpoint_path.empty()) {
+                    append_or_warn(
+                        opts.checkpoint_path,
+                        checkpoint_line(CheckpointRecord{
+                            to_string(mode), frameworks[f].name,
+                            to_string(kernel), suite[g].name, row[g]}),
+                        "sweep will not be resumable");
                 }
             }
         }

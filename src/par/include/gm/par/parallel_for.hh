@@ -183,7 +183,7 @@ parallel_blocks(Index begin, Index end, Fn&& fn)
  * Run @p fn once per lane with (lane, lane_count); fn pulls its own work.
  *
  * The lane count passed to @p fn is ThreadPool::current_width(), so
- * shared state (or a Barrier) sized by it before entering matches the
+ * shared state (or a SpinBarrier) sized by it before entering matches the
  * lanes that run.
  */
 template <typename Fn>

@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "gm/support/json.hh"
-#include "gm/support/log.hh"
+#include "gm/support/jsonl.hh"
 
 namespace gm::perf
 {
@@ -62,14 +62,13 @@ baseline_cell_line(const BaselineCell& cell)
 StatusOr<BaselineCell>
 parse_baseline_cell_line(const std::string& line)
 {
-    std::map<std::string, std::string> fields;
-    if (Status s = support::parse_flat_json(line, fields); !s.is_ok())
-        return s;
-    if (const auto it = fields.find("kind");
-        it == fields.end() || it->second != "cell") {
+    if (support::record_kind(line) != "cell") {
         return Status(StatusCode::kCorruptData,
                       "baseline cell: not a cell record");
     }
+    std::map<std::string, std::string> fields;
+    if (Status s = support::parse_flat_json(line, fields); !s.is_ok())
+        return s;
 
     BaselineCell cell;
     std::string seconds, verified;
@@ -133,64 +132,38 @@ save_baseline(const std::string& path, const Baseline& baseline)
 StatusOr<Baseline>
 load_baseline(const std::string& path)
 {
-    std::ifstream in(path);
-    if (!in) {
-        return Status(StatusCode::kInvalidInput,
-                      "cannot open baseline: " + path);
-    }
     Baseline baseline;
-    std::string line;
-    int line_no = 0;
-    int readable = 0;
-    int skipped = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.empty())
-            continue;
-        std::map<std::string, std::string> fields;
-        if (Status s = support::parse_flat_json(line, fields);
-            !s.is_ok()) {
-            log_warn(path, ":", line_no,
-                     ": skipping unreadable baseline record (",
-                     s.message(), ")");
-            ++skipped;
-            continue;
-        }
-        if (support::is_fingerprint_record(fields)) {
-            auto fp = support::parse_fingerprint_json(line);
-            if (fp.is_ok()) {
+    const auto counts = support::read_jsonl(
+        path, [&baseline](int, const std::string& line) -> Status {
+            if (support::record_kind(line) == "fingerprint") {
+                std::map<std::string, std::string> fields;
+                if (Status s = support::parse_flat_json(line, fields);
+                    !s.is_ok())
+                    return s;
+                auto fp = support::parse_fingerprint_json(line);
+                if (!fp.is_ok())
+                    return fp.status();
                 baseline.fingerprint = *std::move(fp);
-                ++readable;
-            } else {
-                log_warn(path, ":", line_no, ": unreadable fingerprint (",
-                         fp.status().message(), ")");
-                ++skipped;
-            }
-            if (const auto it = fields.find("v"); it != fields.end()) {
-                try {
-                    baseline.version = std::stoi(it->second);
-                } catch (const std::exception&) {
+                if (const auto it = fields.find("v"); it != fields.end()) {
+                    try {
+                        baseline.version = std::stoi(it->second);
+                    } catch (const std::exception&) {
+                    }
                 }
+                return Status::ok();
             }
-            continue;
-        }
-        auto cell = parse_baseline_cell_line(line);
-        if (!cell.is_ok()) {
-            log_warn(path, ":", line_no,
-                     ": skipping unreadable baseline cell (",
-                     cell.status().message(), ")");
-            ++skipped;
-            continue;
-        }
-        baseline.cells.push_back(*std::move(cell));
-        ++readable;
-    }
-    if (readable == 0) {
+            auto cell = parse_baseline_cell_line(line);
+            if (!cell.is_ok())
+                return cell.status();
+            baseline.cells.push_back(*std::move(cell));
+            return Status::ok();
+        });
+    if (!counts.is_ok())
+        return counts.status();
+    if (counts->readable == 0) {
         return Status(StatusCode::kCorruptData,
                       "no readable baseline records in " + path);
     }
-    if (skipped > 0)
-        log_warn(path, ": ", skipped, " unreadable record(s) skipped");
     return baseline;
 }
 

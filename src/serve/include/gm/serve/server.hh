@@ -120,7 +120,8 @@ struct ServerOptions
     /** Append one MetricsRecord JSONL line per served request (plus one
      *  "serve.breaker" line per breaker transition, one "serve.refusal"
      *  line per refused attempt, and "serve.slo.burn" lines on SLO
-     *  monitor transitions); "" = off. */
+     *  monitor transitions); "" = off.  A record that cannot be written
+     *  is dropped: serving never fails on its side streams. */
     std::string metrics_path;
     /** Register serve metrics in telemetry::Registry::global() and keep
      *  the registry enabled for the server's lifetime.  Counters are
@@ -461,43 +462,6 @@ class Server
     void shutdown();
 
   private:
-    /** All mutable counters behind one lock; see ServerStats. */
-    struct Counters
-    {
-        std::uint64_t submitted = 0;
-        std::uint64_t shed = 0;
-        std::uint64_t infeasible = 0;
-        std::uint64_t unavailable = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t succeeded = 0;
-        std::uint64_t degraded = 0;
-        std::uint64_t deadline_exceeded = 0;
-        std::uint64_t cancelled = 0;
-        std::uint64_t failed = 0;
-        std::uint64_t executions = 0;
-        std::uint64_t lanes_granted = 0;
-        std::uint64_t cache_hits = 0;
-        std::uint64_t single_flight_joins = 0;
-        std::uint64_t retries = 0;
-        std::uint64_t retry_denied = 0;
-        std::uint64_t mutations = 0;
-        std::uint64_t mutation_inserted_arcs = 0;
-        std::uint64_t mutation_deleted_arcs = 0;
-        std::uint64_t compactions = 0;
-        std::uint64_t dyn_incremental = 0;
-        std::uint64_t dyn_full = 0;
-        std::uint64_t plans_submitted = 0;
-        std::uint64_t plans_completed = 0;
-        std::uint64_t plans_failed = 0;
-        std::uint64_t plan_nodes = 0;
-        std::uint64_t plan_nodes_executed = 0;
-        std::uint64_t plan_node_cache_hits = 0;
-        std::uint64_t plan_nodes_shared = 0;
-        std::uint64_t plan_fused_sweeps = 0;
-        std::uint64_t plan_sources_fused = 0;
-        std::size_t queue_depth = 0;
-    };
-
     void worker_loop();
     void process(const std::shared_ptr<detail::RequestState>& state);
     /**
@@ -537,10 +501,6 @@ class Server
     /** Breaker bookkeeping for a leader outcome (or non-execution). */
     void record_cell_outcome(const detail::RequestState& state,
                              const support::Status& status, bool executed);
-    /** Append one JSONL record line to @p path under metrics_mu_.  The
-     *  file is opened and closed per record, never buffered, so a crash
-     *  loses no record already written. */
-    void append_jsonl(const std::string& path, const std::string& line);
     void write_metrics_record(const detail::RequestState& state,
                               const obs::TraceSession& session,
                               const QueryResult& result);
@@ -602,8 +562,6 @@ class Server
      *  handle may outlive the Server. */
     std::shared_ptr<detail::LaneGate> lane_gate_;
 
-    std::mutex metrics_mu_; ///< serializes JSONL appends across workers
-
     /** Per-graph dynamic overlays + kernel maintainers, created lazily on
      *  first mutate().  dyn_mu_ serializes mutations; readers never take
      *  it (they go through the store, quiesced by the lane budget). */
@@ -615,7 +573,9 @@ class Server
     std::uint64_t dyn_generation_peak_ = 0;
 
     mutable std::mutex stats_mu_; ///< guards counters_ as one snapshot
-    Counters counters_;
+    /** Every counter behind stats_mu_; the breaker and cache fields stay
+     *  zero here and are filled in by stats_snapshot(). */
+    ServerStats counters_;
 
     /** Pre-acquired registry handles (null when telemetry disabled). */
     std::unique_ptr<detail::ServeTelemetry> tm_;

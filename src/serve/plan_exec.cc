@@ -29,6 +29,7 @@
 #include "gm/plan/execute.hh"
 #include "gm/serve/server.hh"
 #include "gm/support/json.hh"
+#include "gm/support/jsonl.hh"
 #include "gm/support/log.hh"
 #include "gm/support/timer.hh"
 #include "gm/support/watchdog.hh"
@@ -444,7 +445,7 @@ Server::write_plan_record(detail::PlanState& state)
              << ",\"generation\":" << r.generation
              << ",\"t_ns\":" << Timer::now_ns() << "}";
     }
-    append_jsonl(options_.metrics_path, line.str());
+    support::append_jsonl(options_.metrics_path, line.str());
 }
 
 void

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -13,6 +12,7 @@
 #include "gm/support/fault_injector.hh"
 #include "gm/support/hash.hh"
 #include "gm/support/json.hh"
+#include "gm/support/jsonl.hh"
 #include "gm/support/rng.hh"
 #include "gm/support/timer.hh"
 #include "gm/support/watchdog.hh"
@@ -1112,16 +1112,8 @@ Server::write_metrics_record(const RequestState& state,
     record.metrics.lanes = result.lanes;
     record.metrics.parallel_efficiency = result.parallel_efficiency;
     record.metrics.peak_bytes = state.ds->bytes_resident();
-    append_jsonl(options_.metrics_path, obs::metrics_record_line(record));
-}
-
-void
-Server::append_jsonl(const std::string& path, const std::string& line)
-{
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    std::ofstream out(path, std::ios::app);
-    if (out)
-        out << line << "\n";
+    support::append_jsonl(options_.metrics_path,
+                          obs::metrics_record_line(record));
 }
 
 void
@@ -1139,7 +1131,7 @@ Server::flush_breaker_transitions()
              << CircuitBreaker::to_string(t.from) << "\",\"to\":\""
              << CircuitBreaker::to_string(t.to) << "\",\"seq\":" << t.seq
              << "}";
-        append_jsonl(options_.metrics_path, line.str());
+        support::append_jsonl(options_.metrics_path, line.str());
     }
 }
 
@@ -1149,39 +1141,7 @@ Server::stats_snapshot() const
     ServerStats out;
     {
         std::lock_guard<std::mutex> lock(stats_mu_);
-        const Counters& c = counters_;
-        out.submitted = c.submitted;
-        out.shed = c.shed;
-        out.infeasible = c.infeasible;
-        out.unavailable = c.unavailable;
-        out.completed = c.completed;
-        out.succeeded = c.succeeded;
-        out.degraded = c.degraded;
-        out.deadline_exceeded = c.deadline_exceeded;
-        out.cancelled = c.cancelled;
-        out.failed = c.failed;
-        out.executions = c.executions;
-        out.lanes_granted = c.lanes_granted;
-        out.cache_hits = c.cache_hits;
-        out.single_flight_joins = c.single_flight_joins;
-        out.retries = c.retries;
-        out.retry_denied = c.retry_denied;
-        out.mutations = c.mutations;
-        out.mutation_inserted_arcs = c.mutation_inserted_arcs;
-        out.mutation_deleted_arcs = c.mutation_deleted_arcs;
-        out.compactions = c.compactions;
-        out.dyn_incremental = c.dyn_incremental;
-        out.dyn_full = c.dyn_full;
-        out.plans_submitted = c.plans_submitted;
-        out.plans_completed = c.plans_completed;
-        out.plans_failed = c.plans_failed;
-        out.plan_nodes = c.plan_nodes;
-        out.plan_nodes_executed = c.plan_nodes_executed;
-        out.plan_node_cache_hits = c.plan_node_cache_hits;
-        out.plan_nodes_shared = c.plan_nodes_shared;
-        out.plan_fused_sweeps = c.plan_fused_sweeps;
-        out.plan_sources_fused = c.plan_sources_fused;
-        out.queue_depth = c.queue_depth;
+        out = counters_;
     }
     out.breaker_transitions = breaker_.transition_count();
     out.breaker_open_cells = breaker_.open_cells();
@@ -1227,7 +1187,7 @@ Server::write_refusal_record(const RequestState& state,
          << support::json_escape(state.cell_key)
          << "\",\"degraded\":" << (served_degraded ? 1 : 0)
          << ",\"t_ns\":" << Timer::now_ns() << "}";
-    append_jsonl(options_.metrics_path, line.str());
+    support::append_jsonl(options_.metrics_path, line.str());
 }
 
 void
@@ -1255,7 +1215,7 @@ Server::write_mutation_record(const std::string& graph,
          << ",\"generation\":" << outcome.generation << ",\"mutate_ms\":"
          << support::json_double(outcome.mutate_seconds * 1e3)
          << ",\"t_ns\":" << Timer::now_ns() << "}";
-    append_jsonl(options_.metrics_path, line.str());
+    support::append_jsonl(options_.metrics_path, line.str());
 }
 
 void
@@ -1323,7 +1283,7 @@ Server::write_slo_burn_record(const telemetry::SloEvaluation& ev)
          << ",\"p99_short_ns\":" << ev.p99_short_ns
          << ",\"short_total\":" << ev.short_total
          << ",\"long_total\":" << ev.long_total << "}";
-    append_jsonl(path, line.str());
+    support::append_jsonl(path, line.str());
 }
 
 void
@@ -1367,7 +1327,7 @@ Server::write_telemetry_snapshot()
         first = false;
     }
     line << "}}";
-    append_jsonl(options_.telemetry_path, line.str());
+    support::append_jsonl(options_.telemetry_path, line.str());
 }
 
 void

@@ -1,6 +1,5 @@
 #include "gm/support/fingerprint.hh"
 
-#include <fstream>
 #include <sstream>
 
 #include <unistd.h>
@@ -114,29 +113,6 @@ fingerprint_record_line(const EnvFingerprint& fp)
     // parse of the schema.
     std::string body = fingerprint_json(fp);
     return "{\"kind\":\"fingerprint\"," + body.substr(1);
-}
-
-bool
-is_fingerprint_record(const std::map<std::string, std::string>& fields)
-{
-    const auto it = fields.find("kind");
-    return it != fields.end() && it->second == "fingerprint";
-}
-
-Status
-append_fingerprint_record(const std::string& path, const EnvFingerprint& fp)
-{
-    std::ofstream out(path, std::ios::out | std::ios::app);
-    if (!out) {
-        return Status(StatusCode::kInvalidInput,
-                      "cannot open metrics stream: " + path);
-    }
-    out << fingerprint_record_line(fp) << '\n';
-    if (!out) {
-        return Status(StatusCode::kInvalidInput,
-                      "write error on metrics stream: " + path);
-    }
-    return Status::ok();
 }
 
 } // namespace gm::support

@@ -15,7 +15,6 @@
  */
 #pragma once
 
-#include <map>
 #include <string>
 
 #include "gm/support/status.hh"
@@ -53,18 +52,10 @@ std::string fingerprint_json(const EnvFingerprint& fp);
 StatusOr<EnvFingerprint> parse_fingerprint_json(const std::string& text);
 
 /**
- * Append one {"kind":"fingerprint",...} record to the JSONL stream at
- * @p path, creating the file if needed.  Used as the leading record of
- * --metrics-out streams; readers recognize the "kind" key and skip it.
+ * The {"kind":"fingerprint",...} JSONL record line (no trailing
+ * newline), the leading record of --metrics-out streams.  Readers
+ * recognize it by support::record_kind and skip it.
  */
-Status append_fingerprint_record(const std::string& path,
-                                 const EnvFingerprint& fp);
-
-/** The JSONL record line itself (no trailing newline). */
 std::string fingerprint_record_line(const EnvFingerprint& fp);
-
-/** True when @p fields (a parsed flat JSON object) is a fingerprint
- *  record rather than a data record. */
-bool is_fingerprint_record(const std::map<std::string, std::string>& fields);
 
 } // namespace gm::support

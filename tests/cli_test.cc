@@ -2,6 +2,9 @@
  *  kernel driver. */
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "gm/cli/argparse.hh"
@@ -197,6 +200,25 @@ TEST(CliDriver, MissingFileIsInvalidInput)
     opts.file_path = "/tmp/gm_no_such_file.el";
     opts.trials = 1;
     EXPECT_EQ(run_kernel(harness::Kernel::kBFS, opts), kExitInvalidInput);
+}
+
+TEST(CliDriver, MalformedEdgeListIsAStatusNotAnAbort)
+{
+    const std::string path = testing::TempDir() + "gm_malformed.el";
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << "0 1\n1 two\n";
+    }
+    Options opts;
+    opts.source = GraphSource::kFile;
+    opts.file_path = path;
+    const auto built = build_input_graph(opts);
+    ASSERT_FALSE(built.is_ok());
+    EXPECT_EQ(built.status().code(), support::StatusCode::kInvalidInput);
+    EXPECT_NE(built.status().message().find(path + ":2:"),
+              std::string::npos)
+        << built.status().message();
+    std::remove(path.c_str());
 }
 
 TEST(CliDriver, OptimizedModeRuns)

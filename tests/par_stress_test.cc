@@ -63,7 +63,7 @@ TEST(ParStress, BarrierPhasesNeverSkew)
     // must observe the same completed phase count.
     LaneLease lease(num_threads());
     const int lanes = ThreadPool::current_width();
-    Barrier barrier(lanes);
+    SpinBarrier barrier(lanes);
     std::vector<std::int64_t> progress(static_cast<std::size_t>(lanes), 0);
     std::atomic<bool> ok{true};
     constexpr int kPhases = 500;

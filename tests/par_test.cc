@@ -221,7 +221,7 @@ TEST(Atomics, ConcurrentFetchAddCounts)
 
 TEST(Barrier, SinglePartyNeverBlocks)
 {
-    Barrier b(1);
+    SpinBarrier b(1);
     b.wait();
     b.wait();
     SUCCEED();
@@ -231,7 +231,7 @@ TEST(Barrier, SynchronizesPhases)
 {
     LaneLease lease(num_threads());
     const int lanes = ThreadPool::current_width();
-    Barrier barrier(lanes);
+    SpinBarrier barrier(lanes);
     std::vector<int> phase_a(static_cast<std::size_t>(lanes), 0);
     std::atomic<bool> ok{true};
     parallel_lanes([&](int lane, int) {

@@ -25,6 +25,7 @@
 #include "gm/support/fault_injector.hh"
 #include "gm/support/fingerprint.hh"
 #include "gm/support/json.hh"
+#include "gm/support/jsonl.hh"
 
 namespace gm
 {
@@ -110,10 +111,9 @@ TEST(Fingerprint, RecordLineIsRecognizable)
     const std::string line = support::fingerprint_record_line(fp);
     std::map<std::string, std::string> fields;
     ASSERT_TRUE(support::parse_flat_json(line, fields).is_ok());
-    EXPECT_TRUE(support::is_fingerprint_record(fields));
+    EXPECT_EQ(support::record_kind(line), "fingerprint");
 
-    std::map<std::string, std::string> other = {{"kind", "cell"}};
-    EXPECT_FALSE(support::is_fingerprint_record(other));
+    EXPECT_NE(support::record_kind("{\"kind\":\"cell\"}"), "fingerprint");
 }
 
 TEST(Fingerprint, ParserIgnoresUnknownKeys)

@@ -20,6 +20,7 @@
 #include "gm/harness/runner.hh"
 #include "gm/harness/tables.hh"
 #include "gm/support/fault_injector.hh"
+#include "gm/support/jsonl.hh"
 #include "gm/support/status.hh"
 #include "gm/support/watchdog.hh"
 
@@ -395,13 +396,18 @@ TEST(Checkpoint, RejectsTornLines)
 TEST(Checkpoint, LoadSkipsTornFinalLine)
 {
     const std::string path = "/tmp/gm_ckpt.jsonl";
+    std::remove(path.c_str());
+    ASSERT_TRUE(support::append_jsonl(
+                    path, harness::checkpoint_line(sample_record()))
+                    .is_ok());
+    harness::CheckpointRecord second = sample_record();
+    second.kernel = "SSSP";
+    ASSERT_TRUE(
+        support::append_jsonl(path, harness::checkpoint_line(second))
+            .is_ok());
     {
-        std::ofstream out(path, std::ios::trunc);
-        harness::append_checkpoint(out, sample_record());
-        harness::CheckpointRecord second = sample_record();
-        second.kernel = "SSSP";
-        harness::append_checkpoint(out, second);
         // Simulate a crash mid-write: a torn third record, no newline.
+        std::ofstream out(path, std::ios::app);
         out << harness::checkpoint_line(sample_record()).substr(0, 25);
     }
     const auto records = harness::load_checkpoint(path);
@@ -442,10 +448,11 @@ TEST(Checkpoint, ResumedSweepMatchesUninterruptedRun)
     auto records = harness::load_checkpoint(path);
     ASSERT_TRUE(records.is_ok());
     ASSERT_EQ(records->size(), 2 * std::size(harness::kAllKernels));
-    {
-        std::ofstream out(path, std::ios::trunc);
-        for (std::size_t i = 0; i < std::size(harness::kAllKernels); ++i)
-            harness::append_checkpoint(out, (*records)[i]);
+    std::remove(path.c_str());
+    for (std::size_t i = 0; i < std::size(harness::kAllKernels); ++i) {
+        ASSERT_TRUE(support::append_jsonl(
+                        path, harness::checkpoint_line((*records)[i]))
+                        .is_ok());
     }
 
     // Resume: restored cells must be bit-identical, missing cells rerun.

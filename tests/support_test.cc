@@ -1,16 +1,23 @@
 /** Unit tests for gm::support: bitmap, sliding queue, RNG, env helpers,
- *  content hashing, and JSON escaping of untrusted input. */
+ *  content hashing, JSON escaping of untrusted input, and the JSONL
+ *  stream (append, read-back with torn lines, record kinds). */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "gm/support/bitmap.hh"
 #include "gm/support/env.hh"
 #include "gm/support/hash.hh"
 #include "gm/support/json.hh"
+#include "gm/support/jsonl.hh"
 #include "gm/support/rng.hh"
 #include "gm/support/sliding_queue.hh"
 #include "gm/support/timer.hh"
@@ -315,6 +322,142 @@ TEST(Timer, MeasuresElapsedTime)
     t.stop();
     EXPECT_GE(t.seconds(), 0.0);
     EXPECT_EQ(t.millisecs(), t.seconds() * 1e3);
+}
+
+// --------------------------------------------------------------- JSONL
+
+/** A fresh stream path under the test temp dir. */
+std::string
+fresh_stream(const std::string& name)
+{
+    const std::string path = testing::TempDir() + name;
+    std::remove(path.c_str());
+    return path;
+}
+
+/** read_jsonl callback that accepts any flat JSON object. */
+support::Status
+parse_flat(int, const std::string& line)
+{
+    std::map<std::string, std::string> fields;
+    return support::parse_flat_json(line, fields);
+}
+
+TEST(Jsonl, BlankLinesAreSkipped)
+{
+    const std::string path = fresh_stream("gm_jsonl_blank.jsonl");
+    {
+        std::ofstream out(path);
+        out << "{\"a\":1}\n\n{\"a\":2}\n\n";
+    }
+    std::vector<std::pair<int, std::string>> seen;
+    const auto counts =
+        support::read_jsonl(path, [&seen](int line_no, const std::string& line) {
+            seen.emplace_back(line_no, line);
+            return support::Status::ok();
+        });
+    ASSERT_TRUE(counts.is_ok()) << counts.status().to_string();
+    EXPECT_EQ(counts->readable, 2);
+    EXPECT_EQ(counts->skipped, 0);
+    const std::vector<std::pair<int, std::string>> expected = {
+        {1, "{\"a\":1}"}, {3, "{\"a\":2}"}};
+    EXPECT_EQ(seen, expected);
+    std::remove(path.c_str());
+}
+
+TEST(Jsonl, TornFinalLineIsSkippedWarnedAndCounted)
+{
+    const std::string path = fresh_stream("gm_jsonl_torn.jsonl");
+    ASSERT_TRUE(support::append_jsonl(path, "{\"a\":1}").is_ok());
+    ASSERT_TRUE(support::append_jsonl(path, "{\"a\":2}").is_ok());
+    {
+        // A writer killed mid-record: half a line, no newline.
+        std::ofstream out(path, std::ios::app);
+        out << "{\"a\":";
+    }
+    testing::internal::CaptureStderr();
+    const auto counts = support::read_jsonl(path, parse_flat);
+    const std::string warnings = testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(counts.is_ok()) << counts.status().to_string();
+    EXPECT_EQ(counts->readable, 2);
+    EXPECT_EQ(counts->skipped, 1);
+    EXPECT_NE(warnings.find(path + ":3: skipping unreadable record ("),
+              std::string::npos)
+        << warnings;
+    std::remove(path.c_str());
+}
+
+TEST(Jsonl, OnlyUnreadableLinesIsAnError)
+{
+    const std::string path = fresh_stream("gm_jsonl_garbage.jsonl");
+    ASSERT_TRUE(support::append_jsonl(path, "not json").is_ok());
+    ASSERT_TRUE(support::append_jsonl(path, "{\"a\":").is_ok());
+    testing::internal::CaptureStderr();
+    const auto counts = support::read_jsonl(path, parse_flat);
+    testing::internal::GetCapturedStderr();
+    ASSERT_FALSE(counts.is_ok());
+    EXPECT_EQ(counts.status().code(), support::StatusCode::kCorruptData);
+
+    const auto missing =
+        support::read_jsonl(fresh_stream("gm_jsonl_missing.jsonl"),
+                            parse_flat);
+    ASSERT_FALSE(missing.is_ok());
+    EXPECT_EQ(missing.status().code(), support::StatusCode::kInvalidInput);
+    std::remove(path.c_str());
+}
+
+TEST(Jsonl, RecordKindReadsNestedTelemetryLines)
+{
+    const std::string telemetry =
+        "{\"kind\":\"serve.telemetry\",\"seq\":3,\"counters\":"
+        "{\"gm_requests\":7},\"hist\":{\"lat\":{\"count\":1,"
+        "\"buckets\":{\"4\":1}}}}";
+    EXPECT_EQ(support::record_kind(telemetry), "serve.telemetry");
+    EXPECT_EQ(support::record_kind("{\"v\":1,\"kind\":\"fingerprint\"}"),
+              "fingerprint");
+    EXPECT_EQ(support::record_kind("{\"mode\":\"Baseline\"}"), "");
+    EXPECT_EQ(support::record_kind("{\"kind\":\"serve.sl"), "");
+}
+
+TEST(Jsonl, ConcurrentAppendsLeaveWholeLines)
+{
+    const std::string path = fresh_stream("gm_jsonl_concurrent.jsonl");
+    constexpr int kLines = 1000;
+    // Longer than the file stream's buffer, so one record takes more
+    // than one write(2) and only the appender's lock keeps it whole.
+    const std::string pad(9000, 'x');
+    const auto writer = [&](int id) {
+        for (int i = 0; i < kLines; ++i) {
+            const support::Status s = support::append_jsonl(
+                path, "{\"writer\":" + std::to_string(id) + ",\"i\":" +
+                          std::to_string(i) + ",\"pad\":\"" + pad + "\"}");
+            ASSERT_TRUE(s.is_ok()) << s.to_string();
+        }
+    };
+    std::thread a(writer, 0);
+    std::thread b(writer, 1);
+    a.join();
+    b.join();
+
+    std::map<std::string, int> per_writer;
+    const auto counts = support::read_jsonl(
+        path, [&](int, const std::string& line) -> support::Status {
+            std::map<std::string, std::string> fields;
+            if (support::Status s = support::parse_flat_json(line, fields);
+                !s.is_ok())
+                return s;
+            if (fields["pad"] != pad)
+                return support::Status(support::StatusCode::kCorruptData,
+                                       "mangled pad");
+            ++per_writer[fields["writer"]];
+            return support::Status::ok();
+        });
+    ASSERT_TRUE(counts.is_ok()) << counts.status().to_string();
+    EXPECT_EQ(counts->readable, 2 * kLines);
+    EXPECT_EQ(counts->skipped, 0);
+    EXPECT_EQ(per_writer["0"], kLines);
+    EXPECT_EQ(per_writer["1"], kLines);
+    std::remove(path.c_str());
 }
 
 } // namespace

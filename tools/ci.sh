@@ -7,7 +7,8 @@
 # ThreadSanitizer pass over the tracing, thread-pool, serve and trial
 # watchdog tests (the code with cross-thread counter/span/queue/lease
 # traffic), a
-# profile-pipeline smoke run that fails on unparseable Chrome trace JSON,
+# profile-pipeline smoke run that fails on unparseable Chrome trace JSON
+# and requires a torn metrics line to be skipped with exactly one warning,
 # a perf-gate smoke that records a baseline, self-compares it (must
 # pass), then re-runs with a fault-injected slowdown on one cell (must
 # fail), a determinism tier that fingerprints every framework x kernel
@@ -118,6 +119,13 @@ mkdir -p "$SMOKE_DIR"
 "$BUILD_DIR/tools/profile_report" --metrics "$SMOKE_DIR/metrics.jsonl" \
     --csv "$SMOKE_DIR/workload.csv" > /dev/null
 test -s "$SMOKE_DIR/workload.csv"
+# A writer killed mid-record leaves half a line: the stream must still
+# tabulate, with exactly one "skipping unreadable record" warning.
+tail -n 1 "$SMOKE_DIR/metrics.jsonl" | head -c 60 >> "$SMOKE_DIR/metrics.jsonl"
+"$BUILD_DIR/tools/profile_report" --metrics "$SMOKE_DIR/metrics.jsonl" \
+    > "$SMOKE_DIR/torn_report.txt" 2> "$SMOKE_DIR/torn_report.err"
+grep -q "^WORKLOAD " "$SMOKE_DIR/torn_report.txt"
+test "$(grep -c "skipping unreadable record" "$SMOKE_DIR/torn_report.err")" = 1
 
 echo "== tier 5: perf-gate smoke (record, self-compare, injected regression) =="
 GATE_DIR="$BUILD_DIR/ci-perf-gate"

@@ -11,8 +11,6 @@
 
 #include "gm/cli/driver.hh"
 #include "gm/cli/options.hh"
-#include "gm/graph/builder.hh"
-#include "gm/graph/generators.hh"
 #include "gm/graph/io.hh"
 #include "gm/graph/stats.hh"
 #include "gm/par/parallel_for.hh"
@@ -44,54 +42,13 @@ main(int argc, char** argv)
     }
 
     par::LaneLease lease(par::num_threads());
-    graph::CSRGraph g;
-    switch (opts->source) {
-      case cli::GraphSource::kKronecker:
-        g = graph::make_kronecker(opts->scale, opts->degree, opts->seed);
-        break;
-      case cli::GraphSource::kUniform:
-        g = graph::make_uniform(opts->scale, opts->degree, opts->seed);
-        break;
-      case cli::GraphSource::kTwitterLike:
-        g = graph::make_twitter_like(opts->scale, opts->degree, opts->seed);
-        break;
-      case cli::GraphSource::kWebLike:
-        g = graph::make_web_like(opts->scale, opts->degree, opts->seed);
-        break;
-      case cli::GraphSource::kRoadLike: {
-          const vid_t side = static_cast<vid_t>(1)
-                             << ((opts->scale + 1) / 2);
-          g = graph::make_road_like(
-              side,
-              std::max<vid_t>((static_cast<vid_t>(1) << opts->scale) / side,
-                              1),
-              opts->seed);
-          break;
-      }
-      case cli::GraphSource::kFile: {
-          if (opts->file_path.size() >= 4 &&
-              opts->file_path.substr(opts->file_path.size() - 4) ==
-                  ".gmg") {
-              auto loaded = graph::load_binary(opts->file_path);
-              if (!loaded.is_ok()) {
-                  std::cerr << "cannot load input: "
-                            << loaded.status().to_string() << "\n";
-                  return cli::kExitInvalidInput;
-              }
-              g = *std::move(loaded);
-              break;
-          }
-          vid_t n = 0;
-          auto edges = graph::read_edge_list(opts->file_path, &n);
-          if (!edges.is_ok()) {
-              std::cerr << "cannot read input: "
-                        << edges.status().to_string() << "\n";
-              return cli::kExitInvalidInput;
-          }
-          g = graph::build_graph(*std::move(edges), n, !opts->symmetrize);
-          break;
-      }
+    auto built = cli::build_input_graph(*opts);
+    if (!built.is_ok()) {
+        std::cerr << "cannot build input graph: "
+                  << built.status().to_string() << "\n";
+        return cli::kExitInvalidInput;
     }
+    const graph::CSRGraph g = *std::move(built);
 
     std::cout << "graph: " << g.num_vertices() << " vertices, "
               << g.num_edges_directed() << " directed edges, "

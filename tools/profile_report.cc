@@ -38,14 +38,17 @@
 
 #include "gm/cli/argparse.hh"
 #include "gm/obs/metrics.hh"
-#include "gm/support/fingerprint.hh"
 #include "gm/support/json.hh"
+#include "gm/support/jsonl.hh"
 
 namespace
 {
 
 using gm::obs::MetricsRecord;
 using gm::obs::TrialMetrics;
+using gm::support::read_jsonl;
+using gm::support::record_kind;
+using gm::support::Status;
 
 void
 usage()
@@ -66,26 +69,6 @@ usage()
         << "  --csv <file>         also export the workload table as CSV\n"
         << "  --spans              include the span time breakdown\n"
         << "  -h, --help           this help\n";
-}
-
-/**
- * The "kind" discriminator of a JSONL record, or "" when the line does
- * not carry one.  String-level extraction on purpose: telemetry
- * snapshots nest objects, which the flat-JSON parser rejects, yet their
- * kind must still be recognizable.
- */
-std::string
-record_kind(const std::string& line)
-{
-    const std::string tag = "\"kind\":\"";
-    const std::size_t at = line.find(tag);
-    if (at == std::string::npos)
-        return "";
-    const std::size_t begin = at + tag.size();
-    const std::size_t end = line.find('"', begin);
-    if (end == std::string::npos)
-        return "";
-    return line.substr(begin, end - begin);
 }
 
 /** Field value from a flat record via parse_flat_json, or @p fallback. */
@@ -159,39 +142,28 @@ int
 report_metrics(const std::string& path, bool with_spans,
                const std::string& csv_path)
 {
-    std::ifstream in(path);
-    if (!in) {
-        std::cerr << "cannot open metrics file: " << path << "\n";
-        return 2;
-    }
-
     std::map<CellKey, CellProfile> cells;
-    std::string line;
-    int line_no = 0;
-    int skipped = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.empty())
-            continue;
-        auto rec = gm::obs::parse_metrics_record_line(line);
-        if (!rec.is_ok()) {
-            // Typed side-records share the stream (fingerprint
-            // provenance, serve.breaker transitions, serve.slo /
-            // serve.slo.burn summaries, serve.refusal traces, nested
-            // serve.telemetry snapshots): anything carrying a "kind"
-            // discriminator is expected, not corruption.
-            if (!record_kind(line).empty())
-                continue;
-            std::cerr << path << ":" << line_no
-                      << ": skipping unreadable record ("
-                      << rec.status().message() << ")\n";
-            ++skipped;
-            continue;
-        }
-        CellProfile& cell = cells[{rec->mode, rec->kernel, rec->graph,
-                                   rec->framework}];
-        cell.metrics = rec->metrics;
-        ++cell.trials;
+    const auto counts = read_jsonl(
+        path, [&cells](int, const std::string& line) -> Status {
+            auto rec = gm::obs::parse_metrics_record_line(line);
+            if (!rec.is_ok()) {
+                // Typed side-records share the stream (fingerprint
+                // provenance, serve.breaker transitions, serve.slo /
+                // serve.slo.burn summaries, serve.refusal traces, nested
+                // serve.telemetry snapshots): anything carrying a "kind"
+                // discriminator is expected, not corruption.
+                return record_kind(line).empty() ? rec.status()
+                                                 : Status::ok();
+            }
+            CellProfile& cell = cells[{rec->mode, rec->kernel, rec->graph,
+                                       rec->framework}];
+            cell.metrics = rec->metrics;
+            ++cell.trials;
+            return Status::ok();
+        });
+    if (!counts.is_ok()) {
+        std::cerr << counts.status().to_string() << "\n";
+        return 2;
     }
     if (cells.empty()) {
         std::cerr << path << ": no readable metrics records\n";
@@ -235,8 +207,10 @@ report_metrics(const std::string& path, bool with_spans,
             }
         }
     }
-    if (skipped > 0)
-        std::cerr << "\n" << skipped << " unreadable record(s) skipped\n";
+    if (counts->skipped > 0) {
+        std::cerr << "\n"
+                  << counts->skipped << " unreadable record(s) skipped\n";
+    }
     if (!csv_path.empty())
         return write_workload_csv(csv_path, cells);
     return 0;
@@ -253,11 +227,6 @@ report_metrics(const std::string& path, bool with_spans,
 int
 report_slo(const std::string& path)
 {
-    std::ifstream in(path);
-    if (!in) {
-        std::cerr << "cannot open slo file: " << path << "\n";
-        return 2;
-    }
     struct BurnEvent
     {
         std::string state;
@@ -299,37 +268,51 @@ report_slo(const std::string& path)
     std::map<std::string, std::uint64_t> refusals_by_code;
     std::uint64_t snapshots = 0;
     std::string last_snapshot_seq;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        const std::string kind = record_kind(line);
-        if (kind == "serve.slo") {
+    const auto counts = read_jsonl(
+        path, [&](int, const std::string& line) -> Status {
+            const std::string kind = record_kind(line);
+            if (kind == "serve.telemetry") {
+                // Nested objects: counted by envelope, never parsed.
+                ++snapshots;
+                const std::string tag = "\"seq\":";
+                const std::size_t at = line.find(tag);
+                if (at != std::string::npos) {
+                    std::size_t end = at + tag.size();
+                    while (end < line.size() &&
+                           std::isdigit(
+                               static_cast<unsigned char>(line[end])))
+                        ++end;
+                    last_snapshot_seq =
+                        line.substr(at + tag.size(), end - at - tag.size());
+                }
+                return Status::ok();
+            }
+            if (kind != "serve.slo" && kind != "serve.slo.burn" &&
+                kind != "serve.mutation" && kind != "serve.plan" &&
+                kind != "serve.refusal")
+                return Status::ok(); // not a record this view tabulates
             std::map<std::string, std::string> fields;
-            if (gm::support::parse_flat_json(line, fields).is_ok())
+            if (Status s = gm::support::parse_flat_json(line, fields);
+                !s.is_ok())
+                return s;
+            const auto u64 = [&fields](const std::string& name) {
+                return static_cast<std::uint64_t>(std::strtoull(
+                    field_or(fields, name, "0").c_str(), nullptr, 10));
+            };
+            const auto dbl = [&fields](const std::string& name) {
+                return std::strtod(field_or(fields, name, "0").c_str(),
+                                   nullptr);
+            };
+            if (kind == "serve.slo") {
                 phases.push_back(std::move(fields));
-        } else if (kind == "serve.slo.burn") {
-            std::map<std::string, std::string> fields;
-            if (gm::support::parse_flat_json(line, fields).is_ok())
-                burns.push_back({field_or(fields, "state", "?"),
-                                 field_or(fields, "t_ns", "0"),
-                                 field_or(fields, "burn_short", "0"),
-                                 field_or(fields,
-                                          "fresh_availability_short",
-                                          "1")});
-        } else if (kind == "serve.mutation") {
-            std::map<std::string, std::string> fields;
-            if (gm::support::parse_flat_json(line, fields).is_ok()) {
-                const auto u64 = [&fields](const std::string& name) {
-                    return static_cast<std::uint64_t>(std::strtoull(
-                        field_or(fields, name, "0").c_str(), nullptr, 10));
-                };
-                const auto dbl = [&fields](const std::string& name) {
-                    return std::strtod(
-                        field_or(fields, name, "0").c_str(), nullptr);
-                };
-                MutationAgg& m =
-                    mutations[field_or(fields, "graph", "?")];
+            } else if (kind == "serve.slo.burn") {
+                burns.push_back(
+                    {field_or(fields, "state", "?"),
+                     field_or(fields, "t_ns", "0"),
+                     field_or(fields, "burn_short", "0"),
+                     field_or(fields, "fresh_availability_short", "1")});
+            } else if (kind == "serve.mutation") {
+                MutationAgg& m = mutations[field_or(fields, "graph", "?")];
                 ++m.batches;
                 m.inserted_arcs += u64("inserted_arcs");
                 m.deleted_arcs += u64("deleted_arcs");
@@ -345,14 +328,7 @@ report_slo(const std::string& path)
                 }
                 m.dirty_fraction_total += dbl("dirty_fraction");
                 m.mutate_ms_total += dbl("mutate_ms");
-            }
-        } else if (kind == "serve.plan") {
-            std::map<std::string, std::string> fields;
-            if (gm::support::parse_flat_json(line, fields).is_ok()) {
-                const auto u64 = [&fields](const std::string& name) {
-                    return static_cast<std::uint64_t>(std::strtoull(
-                        field_or(fields, name, "0").c_str(), nullptr, 10));
-                };
+            } else if (kind == "serve.plan") {
                 PlanAgg& p = plans[field_or(fields, "graph", "?")];
                 ++p.plans;
                 if (field_or(fields, "status", "?") == "ok")
@@ -364,26 +340,15 @@ report_slo(const std::string& path)
                 p.fused_sweeps += u64("fused_sweeps");
                 p.sources_fused += u64("sources_fused");
                 p.generation = std::max(p.generation, u64("generation"));
-                p.service_ms_total += std::strtod(
-                    field_or(fields, "service_ms", "0").c_str(), nullptr);
-            }
-        } else if (kind == "serve.refusal") {
-            std::map<std::string, std::string> fields;
-            if (gm::support::parse_flat_json(line, fields).is_ok())
+                p.service_ms_total += dbl("service_ms");
+            } else {
                 ++refusals_by_code[field_or(fields, "code", "?")];
-        } else if (kind == "serve.telemetry") {
-            ++snapshots;
-            const std::string tag = "\"seq\":";
-            const std::size_t at = line.find(tag);
-            if (at != std::string::npos) {
-                std::size_t end = at + tag.size();
-                while (end < line.size() &&
-                       std::isdigit(static_cast<unsigned char>(line[end])))
-                    ++end;
-                last_snapshot_seq =
-                    line.substr(at + tag.size(), end - at - tag.size());
             }
-        }
+            return Status::ok();
+        });
+    if (!counts.is_ok()) {
+        std::cerr << counts.status().to_string() << "\n";
+        return 2;
     }
     if (phases.empty() && burns.empty() && snapshots == 0 &&
         refusals_by_code.empty() && mutations.empty() && plans.empty()) {

@@ -64,6 +64,7 @@
 #include "gm/support/fault_injector.hh"
 #include "gm/support/fingerprint.hh"
 #include "gm/support/json.hh"
+#include "gm/support/jsonl.hh"
 #include "gm/support/rng.hh"
 #include "gm/support/timer.hh"
 
@@ -851,8 +852,9 @@ main(int argc, char** argv)
         fingerprint.scales = scales.str();
     }
     if (!server_options.metrics_path.empty()) {
-        if (auto s = gm::support::append_fingerprint_record(
-                server_options.metrics_path, fingerprint);
+        if (auto s = gm::support::append_jsonl(
+                server_options.metrics_path,
+                gm::support::fingerprint_record_line(fingerprint));
             !s.is_ok())
             std::cerr << s.to_string() << "\n";
     }
@@ -1041,21 +1043,21 @@ main(int argc, char** argv)
 
         int code = 0;
         if (!slo_path.empty()) {
-            if (auto s = gm::support::append_fingerprint_record(
-                    slo_path, fingerprint);
-                !s.is_ok()) {
-                std::cerr << s.to_string() << "\n";
-                code = 2;
+            std::vector<std::string> lines = {
+                gm::support::fingerprint_record_line(fingerprint)};
+            for (const PhaseStats* p : {&warm, &storm, &recover, &settle})
+                lines.push_back(slo_record_line(*p, stats, false));
+            lines.push_back(slo_record_line(overall, stats, true));
+            gm::support::Status written;
+            for (const std::string& line : lines) {
+                written = gm::support::append_jsonl(slo_path, line);
+                if (!written.is_ok())
+                    break;
             }
-            std::ofstream out(slo_path, std::ios::app);
-            if (!out) {
-                std::cerr << "cannot open slo file: " << slo_path << "\n";
+            if (!written.is_ok()) {
+                std::cerr << written.to_string() << "\n";
                 code = 2;
             } else {
-                for (const PhaseStats* p :
-                     {&warm, &storm, &recover, &settle})
-                    out << slo_record_line(*p, stats, false) << "\n";
-                out << slo_record_line(overall, stats, true) << "\n";
                 std::cout << "slo report written to " << slo_path << "\n";
             }
         }

@@ -26,6 +26,7 @@
 #include "gm/harness/tables.hh"
 #include "gm/perf/baseline.hh"
 #include "gm/support/fingerprint.hh"
+#include "gm/support/jsonl.hh"
 #include "gm/support/timer.hh"
 
 namespace
@@ -192,8 +193,9 @@ main(int argc, char** argv)
                          " trials=" + std::to_string(opts.trials) +
                          " warmup=" + std::to_string(opts.warmup);
     if (!opts.metrics_path.empty()) {
-        if (auto s = support::append_fingerprint_record(opts.metrics_path,
-                                                        fingerprint);
+        if (auto s = support::append_jsonl(
+                opts.metrics_path,
+                support::fingerprint_record_line(fingerprint));
             !s.is_ok())
             std::cerr << s.to_string() << "\n";
     }
